@@ -295,10 +295,7 @@ def find_k_triple(g: Digraph, k: int) -> KTriple | None:
     n = g.vertex_count
     if 3 * k > n:
         return None
-    outs = [0] * n
-    for t, h in g.edges:
-        if t != h:
-            outs[t] |= 1 << h
+    outs = g.out_mask
     full = (1 << n) - 1
 
     def bits(mask):
@@ -306,9 +303,6 @@ def find_k_triple(g: Digraph, k: int) -> KTriple | None:
             low = mask & -mask
             yield low.bit_length() - 1
             mask &= mask - 1
-
-    def popcount(mask):
-        return bin(mask).count("1")
 
     def match(c_list, a_list):
         # Kuhn's algorithm: match every c_i to a distinct a with edge c->a
@@ -336,7 +330,7 @@ def find_k_triple(g: Digraph, k: int) -> KTriple | None:
         b_cand = full & ~a_mask
         for v in a_set:
             b_cand &= outs[v]
-        if popcount(b_cand) < k:
+        if b_cand.bit_count() < k:
             continue
         for b_set in combinations(sorted(bits(b_cand)), k):
             b_mask = 0
@@ -345,7 +339,7 @@ def find_k_triple(g: Digraph, k: int) -> KTriple | None:
             c_cand = full & ~a_mask & ~b_mask
             for v in b_set:
                 c_cand &= outs[v]
-            if popcount(c_cand) < k:
+            if c_cand.bit_count() < k:
                 continue
             for c_set in combinations(sorted(bits(c_cand)), k):
                 assignment = match(list(c_set), list(a_set))

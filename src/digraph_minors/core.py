@@ -55,6 +55,22 @@ class Digraph:
         return tuple(frozenset(s) for s in ins)
 
     @cached_property
+    def out_mask(self) -> tuple[int, ...]:
+        """Bit h of out_mask[v] is set iff some edge runs v -> h (loops included)."""
+        masks = [0] * self.vertex_count
+        for t, h in self.edges:
+            masks[t] |= 1 << h
+        return tuple(masks)
+
+    @cached_property
+    def in_mask(self) -> tuple[int, ...]:
+        """Bit t of in_mask[v] is set iff some edge runs t -> v (loops included)."""
+        masks = [0] * self.vertex_count
+        for t, h in self.edges:
+            masks[h] |= 1 << t
+        return tuple(masks)
+
+    @cached_property
     def multiplicity(self) -> dict[tuple[int, int], int]:
         mult: dict[tuple[int, int], int] = {}
         for e in self.edges:
@@ -197,37 +213,39 @@ def scc_decompose(g: Digraph) -> tuple[frozenset[int], ...]:
     return tuple(comps)
 
 
+def _reaches_all(adj: tuple[int, ...], mask: int) -> bool:
+    """True iff every vertex of the non-empty bitmask `mask` is reachable from
+    its lowest vertex along the adjacency masks `adj` without leaving `mask`."""
+    seen = todo = mask & -mask
+    while todo:
+        v = (todo & -todo).bit_length() - 1
+        todo &= todo - 1
+        fresh = adj[v] & mask & ~seen
+        seen |= fresh
+        todo |= fresh
+    return seen == mask
+
+
+def _strongly_connected(g: Digraph, mask: int) -> bool:
+    return bool(mask) and _reaches_all(g.out_mask, mask) and _reaches_all(g.in_mask, mask)
+
+
 def is_strongly_connected(g: Digraph, sub: Subdigraph) -> bool:
     """True iff `sub` is non-null and mutually reachable inside its own edges."""
     if sub.host is not g and sub.host != g:
         raise ValueError("subdigraph belongs to a different host")
-    if not sub.vertices:
-        return False
-    verts = sub.vertices
-    fwd: dict[int, list[int]] = {v: [] for v in verts}
-    bwd: dict[int, list[int]] = {v: [] for v in verts}
-    for i in sub.edge_indices:
-        t, h = g.edges[i]
-        fwd[t].append(h)
-        bwd[h].append(t)
-
-    def reach(adj):
-        start = next(iter(verts))
-        seen = {start}
-        todo = [start]
-        while todo:
-            v = todo.pop()
-            for w in adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    todo.append(w)
-        return seen
-
-    return len(reach(fwd)) == len(verts) and len(reach(bwd)) == len(verts)
+    own = Digraph(g.vertex_count, tuple(g.edges[i] for i in sub.edge_indices))
+    return _strongly_connected(own, sum(1 << v for v in sub.vertices))
 
 
 def induced_strongly_connected(g: Digraph, vertices) -> bool:
-    return is_strongly_connected(g, Subdigraph.induced(g, vertices))
+    """True iff `vertices` is non-empty and induces a strongly connected subdigraph."""
+    mask = 0
+    for v in vertices:
+        if not 0 <= v < g.vertex_count:
+            raise ValueError(f"vertex {v} outside host")
+        mask |= 1 << v
+    return _strongly_connected(g, mask)
 
 
 def contract(g: Digraph, h: Subdigraph) -> tuple[Digraph, int]:
@@ -350,13 +368,8 @@ def stability_number(g: Digraph) -> int:
     n = g.vertex_count
     if n == 0:
         return 0
-    adjacent = [0] * n
-    for t, h in g.edges:
-        if t != h:
-            adjacent[t] |= 1 << h
-            adjacent[h] |= 1 << t
     full = (1 << n) - 1
-    complement = [full & ~adjacent[v] & ~(1 << v) for v in range(n)]
+    complement = [full & ~(g.out_mask[v] | g.in_mask[v] | 1 << v) for v in range(n)]
     return _max_clique_size(n, complement)
 
 

@@ -28,7 +28,7 @@ from .core import (
 )
 from .connectivity import minimal_union_paths
 from .pathdecomp import PathDecomposition, build_linked, verify
-from .minor import MinorMapping, verify_mapping
+from .minor import MinorMapping, assign_witnesses, verify_mapping
 
 
 @dataclass(frozen=True)
@@ -502,27 +502,7 @@ def glue_mappings(
         else:
             raise RuntimeError(f"pattern vertex {w} missing from both halves")
 
-    internal = set()
-    for sub in branch_sets:
-        internal |= sub.edge_indices
-    buckets: dict[tuple[int, int], list[int]] = {}
-    where = {}
-    for pv, sub in enumerate(branch_sets):
-        for x in sub.vertices:
-            where[x] = pv
-    for i, (t, h) in enumerate(d_host.g.edges):
-        if t in where and h in where and where[t] != where[h]:
-            buckets.setdefault((where[t], where[h]), []).append(i)
-    witness = []
-    taken: dict[tuple[int, int], int] = {}
-    for u, v in d_pattern.g.edges:
-        pos = taken.get((u, v), 0)
-        taken[(u, v)] = pos + 1
-        pool = buckets.get((u, v), [])
-        if pos >= len(pool):
-            raise RuntimeError(f"no free witness for pattern edge ({u},{v})")
-        witness.append(pool[pos])
-    glued = MinorMapping(tuple(branch_sets), tuple(witness))
+    glued = MinorMapping(tuple(branch_sets), assign_witnesses(d_pattern.g, d_host.g, branch_sets))
     report = verify_labeled_minor(d_pattern, d_host, glued)
     if not report.ok:
         raise RuntimeError(f"glued mapping failed verification: {report.failures}")

@@ -143,67 +143,53 @@ def _strongly_connected_subsets(g: Digraph) -> list[frozenset[int]]:
     return subsets
 
 
-def _min_connecting_edges(g: Digraph, vertices: frozenset[int]) -> int:
-    """Fewest induced edges that keep `vertices` strongly connected."""
+def _connecting_edges(g: Digraph, vertices: frozenset[int]) -> tuple[int, ...]:
+    """First smallest set of induced edges, in (size, edge ids) order, that
+    keeps `vertices` strongly connected; empty for a single vertex."""
     if len(vertices) == 1:
-        return 0
+        return ()
     internal = [i for i, (t, h) in enumerate(g.edges)
                 if t in vertices and h in vertices]
     for size in range(len(vertices), len(internal) + 1):
         for combo in combinations(internal, size):
-            if is_strongly_connected(g, Subdigraph(g, vertices, frozenset(combo))):
-                return size
+            own = Digraph(g.vertex_count, tuple(g.edges[i] for i in combo))
+            if induced_strongly_connected(own, vertices):
+                return combo
     raise ValueError("vertex set is not strongly connected")
 
 
-def _choose_branch_edges(g: Digraph, vertices: frozenset[int], spare: int) -> frozenset[int]:
-    """Edge set keeping `vertices` strongly connected while leaving at least
-    `spare` induced edges outside it (for loop witnesses)."""
-    internal = [i for i, (t, h) in enumerate(g.edges)
-                if t in vertices and h in vertices]
-    if len(vertices) == 1:
-        if len(internal) < spare:
-            raise ValueError("not enough loop edges to spare")
-        return frozenset()
-    if spare == 0:
-        return frozenset(internal)
-    for size in range(len(vertices), len(internal) - spare + 1):
-        for combo in combinations(internal, size):
-            if is_strongly_connected(g, Subdigraph(g, vertices, frozenset(combo))):
-                return frozenset(combo)
-    raise ValueError("no connecting edge set leaves enough spares")
+def assign_witnesses(h: Digraph, g: Digraph, branch_sets: list[Subdigraph]) -> tuple[int, ...]:
+    """Witness per pattern edge (u, v): the next host edge, in id order, from
+    the branch set of u to that of v and in no branch edge set."""
+    where = {x: v for v, sub in enumerate(branch_sets) for x in sub.vertices}
+    inside = frozenset().union(*(sub.edge_indices for sub in branch_sets))
+    buckets: dict[tuple[int, int], list[int]] = {}
+    for i, (t, hd) in enumerate(g.edges):
+        if t in where and hd in where and i not in inside:
+            buckets.setdefault((where[t], where[hd]), []).append(i)
+    witness = []
+    for u, v in h.edges:
+        pool = buckets.get((u, v))
+        if not pool:
+            raise RuntimeError(f"no free witness for pattern edge ({u},{v})")
+        witness.append(pool.pop(0))
+    return tuple(witness)
 
 
 def _build_mapping(h: Digraph, g: Digraph, classes: list[frozenset[int]]) -> MinorMapping:
     """Materialize a mapping from disjoint strongly-connected vertex classes
-    that satisfy the per-pair edge counts."""
-    loops = [0] * h.vertex_count
-    for t, hd in h.edges:
-        if t == hd:
-            loops[t] += 1
+    that satisfy the per-pair edge counts.  A class keeps all its induced
+    edges unless it is one vertex or its pattern vertex has loops; then it
+    keeps only its first smallest connecting edge set."""
     branch_sets = []
     for v, cls in enumerate(classes):
-        edge_set = _choose_branch_edges(g, cls, loops[v])
+        if h.multiplicity.get((v, v)) or len(cls) == 1:
+            edge_set = frozenset(_connecting_edges(g, cls))
+        else:
+            edge_set = frozenset(i for i, (t, hd) in enumerate(g.edges)
+                                 if t in cls and hd in cls)
         branch_sets.append(Subdigraph(g, cls, edge_set))
-    # bucket host edges per ordered class pair / per class interior
-    where = {}
-    for v, cls in enumerate(classes):
-        for x in cls:
-            where[x] = v
-    buckets: dict[tuple[int, int], list[int]] = {}
-    for i, (t, hd) in enumerate(g.edges):
-        if t in where and hd in where:
-            u, v = where[t], where[hd]
-            if u == v and i in branch_sets[u].edge_indices:
-                continue
-            buckets.setdefault((u, v), []).append(i)
-    witness = []
-    taken: dict[tuple[int, int], int] = {}
-    for u, v in h.edges:
-        pos = taken.get((u, v), 0)
-        taken[(u, v)] = pos + 1
-        witness.append(buckets[(u, v)][pos])
-    return MinorMapping(tuple(branch_sets), tuple(witness))
+    return MinorMapping(tuple(branch_sets), assign_witnesses(h, g, branch_sets))
 
 
 def find_minor(
@@ -223,36 +209,24 @@ def find_minor(
     if h.vertex_count > g.vertex_count or len(h.edges) > len(g.edges):
         return None
 
-    need: dict[tuple[int, int], int] = {}
-    loops = [0] * h.vertex_count
+    loops = [h.multiplicity.get((v, v), 0) for v in range(h.vertex_count)]
     degree = [0] * h.vertex_count
     for t, hd in h.edges:
         degree[t] += 1
         degree[hd] += 1
-        if t == hd:
-            loops[t] += 1
-        else:
-            need[(t, hd)] = need.get((t, hd), 0) + 1
     order = sorted(range(h.vertex_count), key=lambda v: (-degree[v], v))
     candidates = _strongly_connected_subsets(g)
-    host_mult: dict[tuple[int, int], int] = {}
-    for t, hd in g.edges:
-        host_mult[(t, hd)] = host_mult.get((t, hd), 0) + 1
 
     spare_cache: dict[frozenset[int], int] = {}
 
     def loop_capacity(cls: frozenset[int]) -> int:
         if cls not in spare_cache:
-            internal = sum(
-                mult for (t, hd), mult in host_mult.items()
-                if t in cls and hd in cls
-            )
-            spare_cache[cls] = internal - _min_connecting_edges(g, cls)
+            spare_cache[cls] = cross_count(cls, cls) - len(_connecting_edges(g, cls))
         return spare_cache[cls]
 
     def cross_count(src: frozenset[int], dst: frozenset[int]) -> int:
         return sum(
-            mult for (t, hd), mult in host_mult.items()
+            mult for (t, hd), mult in g.multiplicity.items()
             if t in src and hd in dst
         )
 
@@ -278,10 +252,10 @@ def find_minor(
                 continue
             ok = True
             for qv, qcls in assigned.items():
-                if need.get((pv, qv), 0) > cross_count(cls, qcls):
+                if h.multiplicity.get((pv, qv), 0) > cross_count(cls, qcls):
                     ok = False
                     break
-                if need.get((qv, pv), 0) > cross_count(qcls, cls):
+                if h.multiplicity.get((qv, pv), 0) > cross_count(qcls, cls):
                     ok = False
                     break
             if not ok:
@@ -312,37 +286,25 @@ def minor_of_triple(h: Digraph, g: Digraph, t: KTriple) -> MinorMapping:
     if not is_k_triple(g, t):
         raise ValueError("not a valid k-triple of the host")
 
-    def edge_index(x: int, y: int) -> int:
-        for i, e in enumerate(g.edges):
-            if e == (x, y):
-                return i
-        raise AssertionError(f"edge ({x},{y}) missing from host")
+    edge_index: dict[tuple[int, int], int] = {}
+    for i, e in enumerate(g.edges):
+        edge_index.setdefault(e, i)
 
     branch_sets = []
     for i in range(t.k):
         verts = frozenset({t.a[i], t.b[i], t.c[i]})
         cycle = frozenset(
             {
-                edge_index(t.a[i], t.b[i]),
-                edge_index(t.b[i], t.c[i]),
-                edge_index(t.c[i], t.a[i]),
+                edge_index[(t.a[i], t.b[i])],
+                edge_index[(t.b[i], t.c[i])],
+                edge_index[(t.c[i], t.a[i])],
             }
         )
         branch_sets.append(Subdigraph(g, verts, cycle))
-    witness = []
-    used: set[int] = set()
-    for u, v in h.edges:
-        # A is complete to B, so a_u -> b_v always exists and crosses branches
-        found = None
-        for i, e in enumerate(g.edges):
-            if e == (t.a[u], t.b[v]) and i not in used:
-                found = i
-                break
-        if found is None:
-            raise AssertionError("completeness edge missing for witness")
-        used.add(found)
-        witness.append(found)
-    mapping = MinorMapping(tuple(branch_sets), tuple(witness))
+    # A is complete to B, so a_u -> b_v always exists and crosses branches;
+    # h is simple, so no two pattern edges share a witness
+    witness = tuple(edge_index[(t.a[u], t.b[v])] for u, v in h.edges)
+    mapping = MinorMapping(tuple(branch_sets), witness)
     report = verify_mapping(h, g, mapping)
     assert report.ok, report.failures
     return mapping
@@ -464,24 +426,20 @@ def canonical_form(g: Digraph) -> Digraph:
     return Digraph(n, best if best is not None else ())
 
 
-def closure_oracle(g: Digraph, max_steps: int | None = None) -> frozenset[Digraph]:
+def closure_oracle(g: Digraph) -> frozenset[Digraph]:
     """All minors of g, as canonical forms, by breadth-first search over
     single operations: delete an edge, delete a vertex, or contract a
     strongly-connected induced subdigraph on >= 2 vertices.
 
-    Every minor is reachable within |V| + |E| operations, the default cap.
+    Every operation lowers |V| + |E|, so the search ends on its own.
     Guarded to hosts with at most 7 vertices.
     """
     if g.vertex_count > 7:
         raise ValueError("closure_oracle is guarded to hosts with at most 7 vertices")
-    if max_steps is None:
-        max_steps = g.vertex_count + len(g.edges)
     start = canonical_form(g)
     seen = {start}
     frontier = [start]
-    for _ in range(max_steps):
-        if not frontier:
-            break
+    while frontier:
         fresh = []
         for q in frontier:
             results = []
@@ -508,9 +466,7 @@ def find_subdigraph_embedding(h: Digraph, g: Digraph) -> tuple[int, ...] | None:
     multiplicities), or None after exhaustive backtracking."""
     if h.vertex_count > g.vertex_count:
         return None
-    h_mult: dict[tuple[int, int], int] = {}
-    for e in h.edges:
-        h_mult[e] = h_mult.get(e, 0) + 1
+    h_mult = h.multiplicity
     g_mult = g.multiplicity
     h_out = [0] * h.vertex_count
     h_in = [0] * h.vertex_count

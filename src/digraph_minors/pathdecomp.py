@@ -69,9 +69,12 @@ class PathDecomposition:
     @classmethod
     def from_json(cls, text: str) -> "PathDecomposition":
         data = json.loads(text)
-        if "bags" not in data:
-            raise ValueError("decomposition JSON needs a 'bags' field")
-        return cls(tuple(frozenset(b) for b in data["bags"]))
+        bags = data.get("bags") if isinstance(data, dict) else None
+        if not isinstance(bags, list) or not all(
+            isinstance(b, list) and all(type(v) is int for v in b) for b in bags
+        ):
+            raise ValueError("decomposition JSON needs 'bags': a list of lists of vertex ids")
+        return cls(tuple(frozenset(b) for b in bags))
 
 
 @dataclass(frozen=True)
@@ -271,10 +274,7 @@ def exact_pathwidth(g: Digraph) -> tuple[int, PathDecomposition]:
     n = g.vertex_count
     if n == 0:
         return -1, PathDecomposition((frozenset(),))
-    out_mask = [0] * n
-    for t, h in g.edges:
-        out_mask[t] |= 1 << h
-
+    out_mask = g.out_mask
     full = (1 << n) - 1
     boundary_size = [0] * (full + 1)
     for mask in range(1, full + 1):

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from digraph_minors.cli import main
 from digraph_minors.core import parse_digraph
 from digraph_minors.pathdecomp import PathDecomposition
@@ -97,6 +99,19 @@ class TestVerifyDecomp:
         assert data["valid"] is True
         assert data["linked"]["increment_ok"] is False
         assert code == 1
+
+
+@pytest.mark.parametrize("command", ["verify-decomp", "linked"])
+@pytest.mark.parametrize(
+    "payload", ['{"bags": 5}', '{"bags": [[0, "x"]]}', "5", '{"bags": [[0], 3]}', '{"bags": [[true]]}']
+)
+def test_malformed_decomposition_exit_2(capsys, tmp_path, command, payload):
+    graph = write_graph(tmp_path, "g.txt", "2 1\n0 1\n")
+    decomp = write_graph(tmp_path, "d.json", payload)
+    code, out, err = run(capsys, command, graph, decomp)
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
 class TestLinked:

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -17,6 +18,7 @@ from digraph_minors.core import (
     gen_super_tournament,
     gen_transitive,
     induced_strongly_connected,
+    induced_subdigraph,
     is_induced_path,
     is_semi_complete,
     is_strongly_connected,
@@ -116,6 +118,19 @@ class TestScc:
             assert not induced_strongly_connected(g, comps[a] | comps[b])
 
 
+class TestMasks:
+    def test_loops_and_parallel_edges(self):
+        g = Digraph(3, ((0, 1), (0, 1), (1, 1), (2, 0), (1, 1), (1, 2)))
+        assert g.out_mask == (0b010, 0b110, 0b001)
+        assert g.in_mask == (0b100, 0b011, 0b010)
+
+    def test_agree_with_neighbour_sets(self):
+        g = gen_random_tournament(6, seed=2)
+        for v in range(6):
+            assert g.out_mask[v] == sum(1 << w for w in g.out_sets[v])
+            assert g.in_mask[v] == sum(1 << w for w in g.in_sets[v])
+
+
 class TestStrongConnectivity:
     def test_single_vertex_true(self):
         g = Digraph(1, ())
@@ -132,6 +147,26 @@ class TestStrongConnectivity:
     def test_null_subdigraph_false(self):
         g = gen_cycle(3)
         assert not is_strongly_connected(g, Subdigraph(g, frozenset(), frozenset()))
+
+    def test_induced_agrees_with_scc_decompose(self):
+        rng = random.Random(5)
+        for _ in range(40):
+            n = rng.randint(1, 7)
+            edges = tuple(
+                (rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 3 * n))
+            )
+            g = Digraph(n, edges)
+            for size in range(1, n + 1):
+                for s in itertools.combinations(range(n), size):
+                    sub, _, _ = induced_subdigraph(g, s)
+                    assert induced_strongly_connected(g, s) == (len(scc_decompose(sub)) == 1)
+
+    def test_induced_empty_false_and_out_of_range_rejected(self):
+        g = gen_cycle(3)
+        assert not induced_strongly_connected(g, ())
+        for bad in ({0, 3}, {-1}):
+            with pytest.raises(ValueError):
+                induced_strongly_connected(g, bad)
 
     def test_malformed_subdigraph_rejected(self):
         g = Digraph(2, ((0, 1),))
