@@ -1,20 +1,18 @@
 """Vertex-disjoint directed paths, minimum-order separations, and k-triples.
 
-All path counting goes through one unit-vertex-capacity max-flow network
-(each vertex split into an in-node and an out-node).  Capacities are only
-ever 0/1 on the split arcs, so plain Edmonds-Karp is more than enough at the
-sizes this library targets.
+All path counting goes through one Edmonds-Karp max flow on the
+vertex-split network (each vertex an in-node and an out-node joined by an
+arc of capacity 1).  Nothing of that network is stored: each search reads
+its arcs off `Digraph.out_mask`, and the flow is one predecessor and one
+successor per vertex.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
 
-from .core import Digraph, is_semi_complete
-
-_INF = 1 << 30
+from .core import Digraph, induced_subdigraph, is_semi_complete
 
 
 @dataclass(frozen=True)
@@ -97,91 +95,79 @@ def is_valid_path_system(g: Digraph, ps: PathSystem) -> bool:
     return True
 
 
-class _SplitFlow:
-    """Max flow on the vertex-split network of g.
+def _max_flow(g: Digraph, a, b) -> tuple[tuple[tuple[int, ...], ...], tuple[int, int]]:
+    """Edmonds-Karp max flow from a to b on the vertex-split network of g.
 
-    Node 2v is v_in, 2v+1 is v_out, then source and sink.  Arc (v_in, v_out)
-    has capacity 1 unless v is uncapacitated.
+    Node 2v is v_in and 2v+1 is v_out, joined by a unit arc; an edge t -> h
+    other than a loop is an arc t_out -> h_in, a source feeds every a_in and
+    every b_out feeds a sink.  The flow is pred[v], the tail feeding v_in, and
+    succ[v], the head v_out feeds (-1: the source or the sink; None: v carries
+    no flow).  Each search reads residual arcs off g.out_mask: from v_in the
+    unused split arc, else pred[v]'s out-node; from v_out the used split arc,
+    then the heads in ascending order.  The first b-vertex's out-node ends it.
+
+    Returns the flow paths by ascending first vertex, and the reach of the
+    last, failed search: masks of the vertices whose in- and out-node it saw.
     """
-
-    def __init__(self, g: Digraph, sources, sinks, uncapacitated=(),
-                 direct_cap: dict[tuple[int, int], int] | None = None):
-        self.g = g
-        n = g.vertex_count
-        self.source = 2 * n
-        self.sink = 2 * n + 1
-        self.adj: list[list[int]] = [[] for _ in range(2 * n + 2)]
-        self.to: list[int] = []
-        self.cap: list[int] = []
-        free = set(uncapacitated)
-        for v in range(n):
-            self._arc(2 * v, 2 * v + 1, _INF if v in free else 1)
-        for t, h in sorted(set(g.edges)):
-            if t == h:
+    n = g.vertex_count
+    outs = [mask & ~(1 << v) for v, mask in enumerate(g.out_mask)]
+    starts = sorted(set(a))
+    sources = sum(1 << v for v in starts)
+    sinks = sum(1 << v for v in set(b))
+    pred: list[int | None] = [None] * n
+    succ: list[int | None] = [None] * n
+    while True:
+        parent = [-1] * (2 * n)
+        queue = [2 * v for v in starts]
+        seen_in, seen_out = sources, 0
+        for node in queue:
+            v = node >> 1
+            if not node & 1:
+                p = v if pred[v] is None else pred[v]
+                if p >= 0 and not seen_out >> p & 1:
+                    seen_out |= 1 << p
+                    parent[2 * p + 1] = node
+                    queue.append(2 * p + 1)
                 continue
-            cap = _INF
-            if direct_cap is not None and (t, h) in direct_cap:
-                cap = direct_cap[(t, h)]
-            self._arc(2 * t + 1, 2 * h, cap)
-        for a in sorted(set(sources)):
-            self._arc(self.source, 2 * a, _INF)
-        for b in sorted(set(sinks)):
-            self._arc(2 * b + 1, self.sink, _INF)
-
-    def _arc(self, u: int, v: int, cap: int):
-        self.adj[u].append(len(self.to))
-        self.to.append(v)
-        self.cap.append(cap)
-        self.adj[v].append(len(self.to))
-        self.to.append(u)
-        self.cap.append(0)
-
-    def max_flow(self) -> int:
-        total = 0
-        while True:
-            parent_arc = [-1] * len(self.adj)
-            parent_arc[self.source] = -2
-            queue = deque([self.source])
-            while queue:
-                u = queue.popleft()
-                if u == self.sink:
-                    break
-                for ai in self.adj[u]:
-                    v = self.to[ai]
-                    if self.cap[ai] > 0 and parent_arc[v] == -1:
-                        parent_arc[v] = ai
-                        queue.append(v)
-            if parent_arc[self.sink] == -1:
-                return total
-            # trace back, find bottleneck, push one augmenting unit
-            bottleneck = _INF
-            v = self.sink
-            while v != self.source:
-                ai = parent_arc[v]
-                bottleneck = min(bottleneck, self.cap[ai])
-                v = self.to[ai ^ 1]
-            v = self.sink
-            while v != self.source:
-                ai = parent_arc[v]
-                self.cap[ai] -= bottleneck
-                self.cap[ai ^ 1] += bottleneck
-                v = self.to[ai ^ 1]
-            total += bottleneck
-
-    def residual_reachable(self) -> set[int]:
-        seen = {self.source}
-        todo = [self.source]
-        while todo:
-            u = todo.pop()
-            for ai in self.adj[u]:
-                v = self.to[ai]
-                if self.cap[ai] > 0 and v not in seen:
-                    seen.add(v)
-                    todo.append(v)
-        return seen
-
-    def flow_on(self, ai: int) -> int:
-        return self.cap[ai ^ 1]  # reverse residual = pushed flow
+            if sinks >> v & 1:
+                break
+            if succ[v] is not None and not seen_in >> v & 1:
+                seen_in |= 1 << v
+                parent[node - 1] = node
+                queue.append(node - 1)
+            heads = outs[v] & ~seen_in
+            seen_in |= heads
+            while heads:
+                low = heads & -heads
+                heads ^= low
+                h_in = 2 * low.bit_length() - 2
+                parent[h_in] = node
+                queue.append(h_in)
+        else:
+            break
+        succ[v] = -1
+        node = 2 * v + 1
+        while node >= 0:
+            prev = parent[node]
+            v, u = node >> 1, prev >> 1
+            if prev < 0:
+                pred[v] = -1
+            elif u != v and node & 1:  # back along the edge v -> u
+                if pred[u] == v:
+                    pred[u] = None
+                if succ[v] == u:
+                    succ[v] = None
+            elif u != v:
+                succ[u], pred[v] = v, u
+            node = prev
+    paths = []
+    for v in starts:
+        if pred[v] == -1:
+            path = [v]
+            while succ[path[-1]] != -1:
+                path.append(succ[path[-1]])
+            paths.append(tuple(path))
+    return tuple(paths), (seen_in, seen_out)
 
 
 def max_disjoint_paths(g: Digraph, a, b) -> PathSystem:
@@ -191,34 +177,7 @@ def max_disjoint_paths(g: Digraph, a, b) -> PathSystem:
     zero-length path.  The cardinality equals the minimum separation order
     (Menger).
     """
-    a = frozenset(a)
-    b = frozenset(b)
-    if not a or not b:
-        return PathSystem(())
-    net = _SplitFlow(g, a, b)
-    net.max_flow()
-    # Unit vertex capacities make the flow a disjoint union of simple paths:
-    # every in-node forwards at most one unit, so we can just walk each unit
-    # from its source arc to the sink, consuming flow as we go.
-    paths = []
-    for ai in net.adj[net.source]:
-        if ai & 1 or net.flow_on(ai) == 0:
-            continue
-        net.cap[ai ^ 1] -= 1
-        node = net.to[ai]
-        path = []
-        while node != net.sink:
-            if node % 2 == 0:
-                path.append(node // 2)
-            for aj in net.adj[node]:
-                if not (aj & 1) and net.flow_on(aj) > 0:
-                    net.cap[aj ^ 1] -= 1
-                    node = net.to[aj]
-                    break
-            else:
-                raise AssertionError("flow decomposition lost a unit")
-        paths.append(tuple(path))
-    return PathSystem(tuple(paths))
+    return PathSystem(_max_flow(g, a, b)[0])
 
 
 def min_separation(g: Digraph, a, b) -> Separation:
@@ -235,11 +194,9 @@ def min_separation(g: Digraph, a, b) -> Separation:
         return Separation(frozenset(), everything, 0)
     if not b:
         return Separation(everything, frozenset(), 0)
-    net = _SplitFlow(g, a, b)
-    net.max_flow()
-    reach = net.residual_reachable()
-    c = frozenset(v for v in range(n) if 2 * v in reach)
-    cut = frozenset(v for v in c if 2 * v + 1 not in reach)
+    _, (seen_in, seen_out) = _max_flow(g, a, b)
+    c = frozenset(v for v in range(n) if seen_in >> v & 1)
+    cut = frozenset(v for v in c if not seen_out >> v & 1)
     d = (everything - c) | cut
     return Separation(c, d, len(cut))
 
@@ -361,9 +318,13 @@ def local_connectivity(g: Digraph, u: int, v: int) -> int:
     """
     if u == v:
         raise ValueError("endpoints must differ")
-    direct = {(u, v): g.multiplicity.get((u, v), 0)}
-    net = _SplitFlow(g, {u}, {v}, uncapacitated={u, v}, direct_cap=direct)
-    return net.max_flow()
+    # Menger: the u->v paths with inner vertices are as many as the disjoint
+    # paths from u's out-neighbours to v's in-neighbours in g - {u, v}.
+    rest, old_ids, _ = induced_subdigraph(g, set(range(g.vertex_count)) - {u, v})
+    new_id = {x: i for i, x in enumerate(old_ids)}
+    a = [new_id[x] for x in g.out_sets[u] if x in new_id]
+    b = [new_id[x] for x in g.in_sets[v] if x in new_id]
+    return g.multiplicity.get((u, v), 0) + len(max_disjoint_paths(rest, a, b))
 
 
 def pairwise_k_connected_set(g: Digraph, k: int) -> frozenset[int] | None:

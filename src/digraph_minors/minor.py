@@ -358,26 +358,12 @@ def _refine_colors(g: Digraph) -> list[list[int]]:
     mult = g.multiplicity
     outs = [[(h, mult[(v, h)]) for h in sorted(g.out_sets[v])] for v in range(n)]
     ins = [[(t, mult[(t, v)]) for t in sorted(g.in_sets[v])] for v in range(n)]
-    color = [0] * n
-    sig0 = sorted(
-        {
-            (
-                sum(m for _, m in outs[v]),
-                sum(m for _, m in ins[v]),
-                mult.get((v, v), 0),
-            )
-            for v in range(n)
-        }
-    )
-    lookup = {s: i for i, s in enumerate(sig0)}
-    for v in range(n):
-        color[v] = lookup[
-            (
-                sum(m for _, m in outs[v]),
-                sum(m for _, m in ins[v]),
-                mult.get((v, v), 0),
-            )
-        ]
+    base = [
+        (sum(m for _, m in outs[v]), sum(m for _, m in ins[v]), mult.get((v, v), 0))
+        for v in range(n)
+    ]
+    lookup = {s: i for i, s in enumerate(sorted(set(base)))}
+    color = [lookup[s] for s in base]
     while True:
         sigs = [
             (

@@ -29,6 +29,10 @@ from .connectivity import (
     minimal_union_paths,
 )
 
+# exact_pathwidth fills three tables of 2^n entries: a random 20-vertex tournament
+# takes about 4 s and 40 MB peak RSS, and each further vertex doubles both.
+PATHWIDTH_MAX_VERTICES = 20
+
 
 @dataclass(frozen=True)
 class PathDecomposition:
@@ -267,11 +271,14 @@ def exact_pathwidth(g: Digraph) -> tuple[int, PathDecomposition]:
     T that still have an out-neighbour outside T, the cheapest order obeys
     g(T) = min over v in T of max(g(T - v), |B(T - v)|), since a vertex can be
     forgotten as soon as all its out-neighbours have been introduced.  The
-    null digraph gets the single empty bag and width -1.
+    null digraph gets the single empty bag and width -1.  Digraphs with more
+    than PATHWIDTH_MAX_VERTICES vertices raise ValueError.
     """
+    n = g.vertex_count
+    if n > PATHWIDTH_MAX_VERTICES:
+        raise ValueError(f"path-width: {n} vertices exceed the cap of {PATHWIDTH_MAX_VERTICES}")
     if any(t == h for t, h in g.edges):
         raise ValueError("path-width is undefined for digraphs with loops")
-    n = g.vertex_count
     if n == 0:
         return -1, PathDecomposition((frozenset(),))
     out_mask = g.out_mask

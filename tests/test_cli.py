@@ -3,8 +3,8 @@ import json
 import pytest
 
 from digraph_minors.cli import main
-from digraph_minors.core import parse_digraph
-from digraph_minors.pathdecomp import PathDecomposition
+from digraph_minors.core import gen_transitive, parse_digraph
+from digraph_minors.pathdecomp import PATHWIDTH_MAX_VERTICES, PathDecomposition
 
 
 def run(capsys, *argv):
@@ -79,6 +79,14 @@ class TestPathwidth:
         assert code == 0 and out.strip() == "1"
         p = PathDecomposition.from_json(decomp.read_text())
         assert p.width == 1
+
+    def test_too_many_vertices_exit_2(self, capsys, tmp_path):
+        n = PATHWIDTH_MAX_VERTICES + 1
+        path = write_graph(tmp_path, "t21.txt", gen_transitive(n).to_text())
+        code, out, err = run(capsys, "pathwidth", path)
+        assert code == 2 and out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ") and str(n) in lines[0]
 
 
 class TestVerifyDecomp:

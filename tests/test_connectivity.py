@@ -108,6 +108,13 @@ class TestMaxDisjointPaths:
         ps = max_disjoint_paths(gen_transitive(4), {0, 1}, {2, 3})
         assert len(ps) == 2
 
+    def test_second_augmentation_cancels_an_edge(self):
+        # the first augmenting path is 0 -> 3 -> 5; the second enters 3 from 1
+        # and pushes 0 back onto 0 -> 2 -> 6 -> 4, cancelling the edge 0 -> 3
+        g = Digraph(7, ((0, 3), (3, 5), (0, 2), (2, 6), (6, 4), (1, 3)))
+        assert max_disjoint_paths(g, {0, 1}, {4, 5}).paths == ((0, 2, 6, 4), (1, 3, 5))
+        assert min_separation(g, {0, 1}, {4, 5}).order == 2
+
     def test_empty_sides(self):
         g = gen_cycle(3)
         assert max_disjoint_paths(g, set(), {0}).paths == ()
@@ -149,6 +156,29 @@ class TestMaxDisjointPaths:
             assert sep.order == cut
             assert is_separation(g, sep)
             assert separates(sep, a, b)
+
+
+def test_flow_matches_networkx_vertex_connectivity():
+    """Against networkx on a super-source over a and a super-sink under b:
+    its local node connectivity is the number of disjoint a -> b paths."""
+    nx = pytest.importorskip("networkx")
+    from networkx.algorithms.connectivity import local_node_connectivity
+
+    rng = random.Random(2024)
+    for _ in range(300):
+        n = rng.randrange(1, 10)
+        edges = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randrange(3 * n))]
+        g = Digraph(n, tuple(edges))
+        a = {v for v in range(n) if rng.random() < 0.4}
+        b = {v for v in range(n) if rng.random() < 0.4}
+        h = nx.DiGraph()
+        h.add_nodes_from(["s", "t", *range(n)])
+        h.add_edges_from((t, x) for t, x in edges if t != x)
+        h.add_edges_from(("s", x) for x in a)
+        h.add_edges_from((x, "t") for x in b)
+        expected = local_node_connectivity(h, "s", "t")
+        assert len(max_disjoint_paths(g, a, b)) == expected
+        assert min_separation(g, a, b).order == expected
 
 
 class TestMinSeparation:
@@ -279,9 +309,13 @@ class TestPairwiseKConnected:
 
     def test_local_connectivity_brute_force(self):
         rng = random.Random(17)
-        for _ in range(25):
+        for trial in range(50):
             n = rng.randrange(2, 6)
-            g = gen_family("random_digraph", n, seed=rng.randrange(10**9))
+            if trial < 25:
+                g = gen_family("random_digraph", n, seed=rng.randrange(10**9))
+            else:  # multi-digraphs with loops and parallel edges
+                edges = [(rng.randrange(n), rng.randrange(n)) for _ in range(3 * n)]
+                g = Digraph(n, tuple(edges))
             u, v = rng.sample(range(n), 2)
             assert local_connectivity(g, u, v) == brute_force_internal_connectivity(g, u, v)
 
