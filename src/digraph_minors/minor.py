@@ -4,9 +4,9 @@ an independent contraction-closure oracle.
 A minor mapping assigns each pattern vertex a non-null strongly-connected
 branch subdigraph of the host, pairwise vertex-disjoint, and each pattern
 edge a distinct host witness edge running between the right branch sets and
-belonging to no branch edge set.  Containment can equivalently be decided by
-deleting and contracting, which `closure_oracle` does; the two routes are
-cross-checked in the test suite.
+belonging to no branch edge set.  For loopless patterns, containment can
+equivalently be decided by deleting and contracting, which `closure_oracle`
+does; the two routes are cross-checked in the test suite.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from itertools import combinations, permutations, product
 from .core import (
     Digraph,
     Subdigraph,
+    _reaches_all,
     contract,
     delete_edge,
     delete_vertex,
@@ -131,16 +132,29 @@ def verify_mapping(h: Digraph, g: Digraph, m: MinorMapping) -> MappingReport:
     return MappingReport(not failures, tuple(failures))
 
 
-def _strongly_connected_subsets(g: Digraph) -> list[frozenset[int]]:
-    """All vertex subsets whose induced subdigraph is strongly connected,
-    in ascending (size, sorted-ids) order."""
-    n = g.vertex_count
-    subsets = []
-    for size in range(1, n + 1):
-        for combo in combinations(range(n), size):
-            if size == 1 or induced_strongly_connected(g, combo):
-                subsets.append(frozenset(combo))
-    return subsets
+def _strongly_connected_masks(g: Digraph) -> list[int]:
+    """Vertex bitmasks of all strongly connected induced subdigraphs, in
+    ascending (size, sorted ids) order; the singletons come first."""
+    bits = [1 << v for v in range(g.vertex_count)]
+    out, inn = g.out_mask, g.in_mask
+    masks = list(bits)
+    for size in range(2, g.vertex_count + 1):
+        masks.extend(m for m in map(sum, combinations(bits, size))
+                     if _reaches_all(out, m) and _reaches_all(inn, m))
+    return masks
+
+
+def _mask_vertices(mask: int) -> frozenset[int]:
+    return frozenset(v for v in range(mask.bit_length()) if mask >> v & 1)
+
+
+def _neighbour_union(adj: tuple[int, ...], mask: int) -> int:
+    """OR of adj[v] over the vertices v of mask."""
+    union = 0
+    for v in range(mask.bit_length()):
+        if mask >> v & 1:
+            union |= adj[v]
+    return union
 
 
 def _connecting_edges(g: Digraph, vertices: frozenset[int]) -> tuple[int, ...]:
@@ -209,68 +223,68 @@ def find_minor(
     if h.vertex_count > g.vertex_count or len(h.edges) > len(g.edges):
         return None
 
-    loops = [h.multiplicity.get((v, v), 0) for v in range(h.vertex_count)]
+    mult = h.multiplicity
+    loops = [mult.get((v, v), 0) for v in range(h.vertex_count)]
     degree = [0] * h.vertex_count
     for t, hd in h.edges:
         degree[t] += 1
         degree[hd] += 1
     order = sorted(range(h.vertex_count), key=lambda v: (-degree[v], v))
-    candidates = _strongly_connected_subsets(g)
+    # per position: the earlier pattern vertices sharing edges with this
+    # one, and the edge counts to and from each
+    joins = [[(qv, mult.get((pv, qv), 0), mult.get((qv, pv), 0))
+              for qv in order[:pos] if (pv, qv) in mult or (qv, pv) in mult]
+             for pos, pv in enumerate(order)]
+    # (mask, size, out-neighbour union, in-neighbour union); size ascends
+    candidates = [(m, m.bit_count(), _neighbour_union(g.out_mask, m),
+                   _neighbour_union(g.in_mask, m)) for m in _strongly_connected_masks(g)]
 
-    spare_cache: dict[frozenset[int], int] = {}
+    spare_cache: dict[int, int] = {}
 
-    def loop_capacity(cls: frozenset[int]) -> int:
+    def loop_capacity(cls: int) -> int:
         if cls not in spare_cache:
-            spare_cache[cls] = cross_count(cls, cls) - len(_connecting_edges(g, cls))
+            spare_cache[cls] = (cross_count(cls, cls)
+                                - len(_connecting_edges(g, _mask_vertices(cls))))
         return spare_cache[cls]
 
-    def cross_count(src: frozenset[int], dst: frozenset[int]) -> int:
-        return sum(
-            mult for (t, hd), mult in g.multiplicity.items()
-            if t in src and hd in dst
-        )
+    def cross_count(src: int, dst: int) -> int:
+        return sum(k for (t, hd), k in g.multiplicity.items() if src >> t & 1 and dst >> hd & 1)
 
     nodes = 0
-    assigned: dict[int, frozenset[int]] = {}
+    chosen = [0] * h.vertex_count
 
-    def backtrack(pos: int) -> list[frozenset[int]] | None:
+    def backtrack(pos: int, used: int) -> bool:
         nonlocal nodes
         if pos == len(order):
-            return [assigned[v] for v in range(h.vertex_count)]
+            return True
         pv = order[pos]
-        used = frozenset().union(*assigned.values()) if assigned else frozenset()
-        remaining_needed = len(order) - pos
-        for cls in candidates:
+        room = g.vertex_count - used.bit_count() - (len(order) - pos - 1)
+        for cls, size, out_union, in_union in candidates:
+            if size > room:
+                break
             if cls & used:
-                continue
-            if g.vertex_count - len(used) - len(cls) < remaining_needed - 1:
                 continue
             nodes += 1
             if budget is not None and nodes > budget:
                 raise BudgetExceededError(f"budget of {budget} placements exhausted")
             if loops[pv] and loop_capacity(cls) < loops[pv]:
                 continue
-            ok = True
-            for qv, qcls in assigned.items():
-                if h.multiplicity.get((pv, qv), 0) > cross_count(cls, qcls):
-                    ok = False
+            for qv, to_q, from_q in joins[pos]:
+                q = chosen[qv]
+                if to_q and not out_union & q or from_q and not in_union & q:
                     break
-                if h.multiplicity.get((qv, pv), 0) > cross_count(qcls, cls):
-                    ok = False
+                if (to_q > 1 and cross_count(cls, q) < to_q
+                        or from_q > 1 and cross_count(q, cls) < from_q):
                     break
-            if not ok:
-                continue
-            assigned[pv] = cls
-            result = backtrack(pos + 1)
-            if result is not None:
-                return result
-            del assigned[pv]
-        return None
+            else:
+                chosen[pv] = cls
+                if backtrack(pos + 1, used | cls):
+                    return True
+        return False
 
-    classes = backtrack(0)
-    if classes is None:
+    if not backtrack(0, 0):
         return None
-    mapping = _build_mapping(h, g, classes)
+    mapping = _build_mapping(h, g, [_mask_vertices(cls) for cls in chosen])
     report = verify_mapping(h, g, mapping)
     assert report.ok, report.failures
     return mapping
@@ -433,11 +447,9 @@ def closure_oracle(g: Digraph) -> frozenset[Digraph]:
                 results.append(delete_edge(q, i))
             for v in range(q.vertex_count):
                 results.append(delete_vertex(q, v))
-            for size in range(2, q.vertex_count + 1):
-                for combo in combinations(range(q.vertex_count), size):
-                    if induced_strongly_connected(q, combo):
-                        contracted, _ = contract(q, Subdigraph.induced(q, combo))
-                        results.append(contracted)
+            for mask in _strongly_connected_masks(q)[q.vertex_count:]:
+                contracted, _ = contract(q, Subdigraph.induced(q, _mask_vertices(mask)))
+                results.append(contracted)
             for res in results:
                 canon = canonical_form(res)
                 if canon not in seen:

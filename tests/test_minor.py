@@ -11,6 +11,7 @@ from digraph_minors.core import (
     delete_vertex,
     gen_cycle,
     gen_family,
+    gen_random_digraph,
     gen_random_tournament,
     gen_super_tournament,
     gen_transitive,
@@ -108,6 +109,26 @@ class TestFindMinor:
         with pytest.raises(BudgetExceededError):
             find_minor(g, g, budget=1)
 
+    # (pattern, host, smallest budget that completes, found); the budgets
+    # were measured on the frozenset search this mask search replaced, so
+    # they pin the placement count the CLI `minor --budget` relies on
+    PINNED_BUDGETS = [
+        (gen_random_tournament(5, seed=1), gen_random_tournament(7, seed=2), 468, False),
+        (gen_random_tournament(4, seed=3), gen_random_tournament(6, seed=4), 77, True),
+        (gen_random_tournament(6, seed=5), gen_random_tournament(7, seed=6), 293, False),
+        (Digraph(2, ((0, 0), (0, 1), (0, 1), (1, 0))),
+         gen_random_digraph(5, seed=8, p=0.6), 15, True),
+        (Digraph(3, ((0, 0), (0, 1), (0, 1), (1, 2), (2, 0))),
+         Digraph(6, ((0, 1), (1, 0), (0, 1), (1, 1), (1, 2), (2, 3), (3, 1), (2, 2),
+                     (3, 4), (4, 5), (5, 3), (4, 0), (5, 2), (0, 5))), 44, True),
+    ]
+
+    @pytest.mark.parametrize("h, g, budget, found", PINNED_BUDGETS)
+    def test_budget_counts_placements(self, h, g, budget, found):
+        assert (find_minor(h, g, budget=budget) is not None) == found
+        with pytest.raises(BudgetExceededError, match=f"budget of {budget - 1} placements"):
+            find_minor(h, g, budget=budget - 1)
+
     def test_loop_pattern(self):
         h = Digraph(1, ((0, 0),))
         g_with_loop = Digraph(2, ((0, 0), (0, 1)))
@@ -118,6 +139,40 @@ class TestFindMinor:
         digon_extra = Digraph(2, ((0, 1), (1, 0), (0, 1)))
         m2 = find_minor(h, digon_extra)
         assert m2 is not None and verify_mapping(h, digon_extra, m2).ok
+
+
+def _random_multidigraph(rng, n, m):
+    """m edges with uniform random ends: loops and parallel edges included."""
+    return Digraph(n, tuple((rng.randrange(n), rng.randrange(n)) for _ in range(m)))
+
+
+class TestMultiDigraphsAgainstClosure:
+    """find_minor on multi-digraphs, whose pair checks count parallel edges
+    and whose loops need spare edges in a branch set, against closure_oracle.
+
+    Contraction drops every edge inside the contracted set, so the closure
+    never gains a loop, while a mapping may witness a pattern loop by a spare
+    edge inside its branch set.  Containment is therefore equivalent only for
+    loopless patterns; with loops the closure is a lower bound."""
+
+    def test_seeded_pairs(self):
+        rng = random.Random("multi-digraph-minors")
+        for _ in range(40):
+            g = _random_multidigraph(rng, rng.randint(3, 5), rng.randint(4, 7))
+            closure = closure_oracle(g)
+            pool = sorted(closure, key=lambda d: (d.vertex_count, d.edges))
+            for _ in range(6):
+                if rng.random() < 0.5:
+                    h = rng.choice(pool)
+                else:
+                    h = _random_multidigraph(rng, rng.randint(1, 4), rng.randint(1, 5))
+                m = find_minor(h, g)
+                member = canonical_form(h) in closure
+                assert m is None or verify_mapping(h, g, m).ok
+                if any(t == hd for t, hd in h.edges):
+                    assert m is not None or not member, (h, g)
+                else:
+                    assert (m is not None) == member, (h, g)
 
 
 class TestBranchEdgeRule:
