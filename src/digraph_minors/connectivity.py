@@ -95,7 +95,9 @@ def is_valid_path_system(g: Digraph, ps: PathSystem) -> bool:
     return True
 
 
-def _max_flow(g: Digraph, a, b) -> tuple[tuple[tuple[int, ...], ...], tuple[int, int]]:
+def _max_flow(
+    g: Digraph, a, b, limit: int | None = None
+) -> tuple[tuple[tuple[int, ...], ...], tuple[int, int]]:
     """Edmonds-Karp max flow from a to b on the vertex-split network of g.
 
     Node 2v is v_in and 2v+1 is v_out, joined by a unit arc; an edge t -> h
@@ -108,6 +110,8 @@ def _max_flow(g: Digraph, a, b) -> tuple[tuple[tuple[int, ...], ...], tuple[int,
 
     Returns the flow paths by ascending first vertex, and the reach of the
     last, failed search: masks of the vertices whose in- and out-node it saw.
+    With a limit, the flow stops after that many augmentations: it has
+    min(limit, kappa) paths, and the reach is a cut only if it has fewer.
     """
     n = g.vertex_count
     outs = [mask & ~(1 << v) for v, mask in enumerate(g.out_mask)]
@@ -116,7 +120,8 @@ def _max_flow(g: Digraph, a, b) -> tuple[tuple[tuple[int, ...], ...], tuple[int,
     sinks = sum(1 << v for v in set(b))
     pred: list[int | None] = [None] * n
     succ: list[int | None] = [None] * n
-    while True:
+    seen_in = seen_out = augmented = 0
+    while augmented != limit:
         parent = [-1] * (2 * n)
         queue = [2 * v for v in starts]
         seen_in, seen_out = sources, 0
@@ -145,6 +150,7 @@ def _max_flow(g: Digraph, a, b) -> tuple[tuple[tuple[int, ...], ...], tuple[int,
                 queue.append(h_in)
         else:
             break
+        augmented += 1
         succ[v] = -1
         node = 2 * v + 1
         while node >= 0:

@@ -28,7 +28,7 @@ from .minor import (
     find_minor,
     find_subdigraph_embedding,
 )
-from .pathdecomp import exact_pathwidth, verify
+from .pathdecomp import PATHWIDTH_MAX_VERTICES, exact_pathwidth, verify
 
 
 def pathwidth_brute_force(g: Digraph) -> int:
@@ -245,6 +245,13 @@ def counterexample_stability(j: int = 3) -> dict:
     )
 
 
+def _check_size_and_samples(n: int, samples: int) -> None:
+    if n < 1:
+        raise ValueError(f"n must be at least 1, got {n}")
+    if samples < 0:
+        raise ValueError(f"samples must be non-negative, got {samples}")
+
+
 def oracle_equivalence(n: int = 4, samples: int = 10, seed: int = 0) -> dict:
     """Cross-check the two minor definitions: the closure of each host must
     equal the set of candidates accepted by the mapping search.
@@ -253,6 +260,7 @@ def oracle_equivalence(n: int = 4, samples: int = 10, seed: int = 0) -> dict:
     form) plus `samples` seeded random digraphs on 1..5 vertices.  The
     candidate pool is the union of all the hosts' closures.
     """
+    _check_size_and_samples(n, samples)
     hosts: list[Digraph] = []
     seen: set[Digraph] = set()
     for nn in range(1, min(n, 4) + 1):
@@ -312,6 +320,9 @@ def oracle_equivalence(n: int = 4, samples: int = 10, seed: int = 0) -> dict:
 
 def pathwidth_oracle_experiment(n: int = 6, samples: int = 25, seed: int = 0) -> dict:
     """Production path-width solver against the normalized-sequence search."""
+    _check_size_and_samples(n, samples)
+    if n > PATHWIDTH_MAX_VERTICES:
+        raise ValueError(f"n must be at most {PATHWIDTH_MAX_VERTICES}, got {n}")
     rng = random.Random(seed)
     instances = []
     ok = True

@@ -14,6 +14,7 @@ between prescribed end bags.
 from __future__ import annotations
 
 import json
+from array import array
 from dataclasses import dataclass
 
 from .core import (
@@ -24,13 +25,14 @@ from .core import (
 )
 from .connectivity import (
     Separation,
+    _max_flow,
     max_disjoint_paths,
     min_separation,
     minimal_union_paths,
 )
 
-# exact_pathwidth fills three tables of 2^n entries: a random 20-vertex tournament
-# takes about 4 s and 40 MB peak RSS, and each further vertex doubles both.
+# exact_pathwidth fills two tables of 2^n entries, 5 bytes each: a random 20-vertex
+# tournament takes about 2.5 s and 24 MB peak RSS, and each further vertex doubles both.
 PATHWIDTH_MAX_VERTICES = 20
 
 
@@ -158,16 +160,42 @@ def _vertex_intervals(p: PathDecomposition):
 
 def _linked_violation(g: Digraph, bags) -> tuple[int, int, int] | None:
     """First (smallest h, then smallest j) window [h, j] whose minimum bag
-    size t is not certified by t vertex-disjoint W_h -> W_j paths."""
+    size t is not certified by t vertex-disjoint W_h -> W_j paths.
+
+    The bags must form a valid decomposition.  Then every W_h -> W_j' path
+    meets every W_j with h <= j <= j': along the path the largest last(x)
+    seen so far grows only through an edge u -> v, where first(v) <= last(u),
+    so the intervals of the path's vertices cover [h, j'].  Cutting each path
+    at its first vertex in W_j shows that kappa(h, j), the most disjoint
+    W_h -> W_j paths, is non-increasing in j, and so is t.  Within a run of
+    constant t the failing j therefore form a suffix: test the run's last j,
+    and on failure binary-search the run for its first failing j.  Each flow
+    stops after t paths.
+    """
+
+    def short(j):
+        return len(_max_flow(g, bags[h], bags[j], limit=t)[0]) < t
+
     r = len(bags)
     for h in range(r):
         t = len(bags[h])
-        for j in range(h + 1, r):
+        j = h + 1
+        while j < r:
             t = min(t, len(bags[j]))
             if t == 0:
                 break
-            if len(max_disjoint_paths(g, bags[h], bags[j])) < t:
+            end = j
+            while end + 1 < r and len(bags[end + 1]) >= t:
+                end += 1
+            if short(end):
+                while j < end:
+                    mid = (j + end) // 2
+                    if short(mid):
+                        end = mid
+                    else:
+                        j = mid + 1
                 return h, j, t
+            j = end + 1
     return None
 
 
@@ -283,40 +311,31 @@ def exact_pathwidth(g: Digraph) -> tuple[int, PathDecomposition]:
         return -1, PathDecomposition((frozenset(),))
     out_mask = g.out_mask
     full = (1 << n) - 1
-    boundary_size = [0] * (full + 1)
+    # into[X]: the vertices with an out-neighbour in X, so B(T) = T & into[full ^ T]
+    into = array("I", [0])
+    for m in g.in_mask:
+        into += array("I", map(m.__or__, into))
+    # cost[T] = max(g(T), |B(T)|), the cost of introducing one more vertex after T
+    cost = bytearray(full + 1)
     for mask in range(1, full + 1):
-        size = 0
+        least = n
         rest = mask
         while rest:
-            v = (rest & -rest).bit_length() - 1
-            rest &= rest - 1
-            if out_mask[v] & ~mask:
-                size += 1
-        boundary_size[mask] = size
+            low = rest & -rest
+            rest ^= low
+            c = cost[mask ^ low]
+            if c < least:
+                least = c
+        size = (mask & into[full ^ mask]).bit_count()
+        cost[mask] = least if least > size else size
 
-    best = [0] * (full + 1)
-    choice = [-1] * (full + 1)
-    for mask in range(1, full + 1):
-        cost = None
-        pick = -1
-        rest = mask
-        while rest:
-            v = (rest & -rest).bit_length() - 1
-            rest &= rest - 1
-            prev = mask & ~(1 << v)
-            c = max(best[prev], boundary_size[prev])
-            if cost is None or c < cost:
-                cost = c
-                pick = v
-        best[mask] = cost
-        choice[mask] = pick
-
+    # walk back from the full set, removing the lowest v that attains g(mask)
     order = []
     mask = full
     while mask:
-        v = choice[mask]
+        v = min((v for v in range(n) if mask >> v & 1), key=lambda v: cost[mask ^ 1 << v])
         order.append(v)
-        mask &= ~(1 << v)
+        mask ^= 1 << v
     order.reverse()
 
     bags: list[frozenset[int]] = []
@@ -331,8 +350,8 @@ def exact_pathwidth(g: Digraph) -> tuple[int, PathDecomposition]:
                 bag.discard(u)
                 bags.append(frozenset(bag))
     decomposition = PathDecomposition(tuple(bags))
-    assert decomposition.width == best[full]
-    return best[full], decomposition
+    assert decomposition.width == cost[full]
+    return cost[full], decomposition
 
 
 def transform_delete_vertex(g: Digraph, p: PathDecomposition, v: int) -> PathDecomposition:

@@ -251,6 +251,24 @@ class TestExperiment:
         assert d1 == d2
 
 
+@pytest.mark.parametrize(
+    "name, param",
+    [
+        ("oracle-equivalence", "n=0"),
+        ("oracle-equivalence", "n=-1"),
+        ("oracle-equivalence", "samples=-3"),
+        ("pathwidth-oracle", "n=0"),
+        ("pathwidth-oracle", "samples=-1"),
+        ("pathwidth-oracle", f"n={PATHWIDTH_MAX_VERTICES + 1}"),
+    ],
+)
+def test_experiment_parameter_out_of_range_exit_2(capsys, name, param):
+    code, out, err = run(capsys, "experiment", name, "--param", param)
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and param.split("=")[0] in lines[0]
+
+
 def test_stdin_dash(capsys, monkeypatch, tmp_path):
     import io
 

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -10,14 +11,22 @@ from digraph_minors.core import (
     delete_edge,
     delete_vertex,
     gen_cycle,
+    gen_random_digraph,
     gen_random_tournament,
     gen_transitive,
     induced_strongly_connected,
     is_acyclic,
 )
+from digraph_minors.connectivity import (
+    PathSystem,
+    _max_flow,
+    is_valid_path_system,
+    max_disjoint_paths,
+)
 from digraph_minors.pathdecomp import (
     LexMeasure,
     PathDecomposition,
+    _linked_violation,
     build_linked,
     exact_pathwidth,
     normalize,
@@ -26,11 +35,45 @@ from digraph_minors.pathdecomp import (
     transform_under_contraction,
     verify,
 )
-from digraph_minors.experiments import pathwidth_brute_force
+from digraph_minors.experiments import (
+    all_semi_complete,
+    all_tournaments,
+    pathwidth_brute_force,
+)
 
 
 def bags(*sets):
     return PathDecomposition(tuple(frozenset(s) for s in sets))
+
+
+def random_order_decomposition(g, rng):
+    """Introduce the vertices in a random order and forget each one as soon
+    as all its out-neighbours are in."""
+    n = g.vertex_count
+    order = list(range(n))
+    rng.shuffle(order)
+    introduced, bag, out_bags = set(), set(), []
+    for v in order:
+        bag.add(v)
+        introduced.add(v)
+        out_bags.append(frozenset(bag))
+        for u in sorted(bag, reverse=True):
+            if g.out_sets[u] <= introduced:
+                bag.discard(u)
+                out_bags.append(frozenset(bag))
+    return PathDecomposition(tuple(out_bags))
+
+
+def random_semi_complete(n, rng):
+    """Each pair of vertices gets one of its two orientations, or both."""
+    edges = []
+    for u, v in itertools.combinations(range(n), 2):
+        kind = rng.randrange(3)
+        if kind != 1:
+            edges.append((u, v))
+        if kind != 0:
+            edges.append((v, u))
+    return Digraph(n, tuple(edges))
 
 
 class TestVerify:
@@ -305,21 +348,6 @@ class TestBuildLinked:
     def test_repairs_badly_ordered_decompositions(self):
         # decompositions from random introduction orders are reliably
         # unlinked, forcing the window-repair loop to run
-        def random_order_decomposition(g, rng):
-            n = g.vertex_count
-            order = list(range(n))
-            rng.shuffle(order)
-            introduced, bag, out_bags = set(), set(), []
-            for v in order:
-                bag.add(v)
-                introduced.add(v)
-                out_bags.append(frozenset(bag))
-                for u in sorted(bag, reverse=True):
-                    if g.out_sets[u] <= introduced:
-                        bag.discard(u)
-                        out_bags.append(frozenset(bag))
-            return PathDecomposition(tuple(out_bags))
-
         rng = random.Random(7)
         for _ in range(40):
             n = rng.randrange(4, 11)
@@ -354,3 +382,149 @@ def test_decomposition_json_round_trip():
     p = bags({0, 1}, {1}, {1, 2})
     q = PathDecomposition.from_json(p.to_json())
     assert q == p
+
+
+def full_scan_linked_violation(g, bags):
+    """Reference for _linked_violation: one uncapped flow for every window."""
+    r = len(bags)
+    for h in range(r):
+        t = len(bags[h])
+        for j in range(h + 1, r):
+            t = min(t, len(bags[j]))
+            if t == 0:
+                break
+            if len(max_disjoint_paths(g, bags[h], bags[j])) < t:
+                return h, j, t
+    return None
+
+
+class TestLinkedViolation:
+    def test_matches_the_full_scan(self):
+        rng = random.Random(5)
+        outcomes = set()
+        for _ in range(120):
+            n = rng.randrange(1, 11)
+            g = random_semi_complete(n, rng)
+            p = random_order_decomposition(g, rng)
+            if rng.random() < 0.5:
+                p = normalize(g, p)
+            seq = list(p.bags)
+            for _ in range(rng.randrange(3)):
+                i = rng.randrange(len(seq))
+                seq.insert(i, seq[i])
+            if rng.random() < 0.5:
+                seq = [frozenset(), *seq, frozenset()]
+            p = PathDecomposition(tuple(seq))
+            assert verify(g, p).valid
+            for q in (p, build_linked(g, p, frozenset(), frozenset())):
+                expected = full_scan_linked_violation(g, q.bags)
+                assert _linked_violation(g, q.bags) == expected
+                outcomes.add(expected is None)
+        assert outcomes == {True, False}
+
+
+def flow_cases():
+    rng = random.Random(9)
+    for i in range(200):
+        n = rng.randrange(1, 9)
+        if i % 2:
+            g = random_semi_complete(n, rng)
+        else:
+            g = gen_random_digraph(n, rng.randrange(1 << 30), 0.3)
+        a = frozenset(rng.sample(range(n), rng.randrange(n + 1)))
+        b = frozenset(rng.sample(range(n), rng.randrange(n + 1)))
+        yield g, a, b
+
+
+class TestCappedFlow:
+    def test_limit_caps_the_path_count(self):
+        for g, a, b in flow_cases():
+            paths, _ = _max_flow(g, a, b)
+            kappa = len(paths)
+            for t in range(kappa + 2):
+                capped, _ = _max_flow(g, a, b, limit=t)
+                assert len(capped) == min(t, kappa)
+                assert is_valid_path_system(g, PathSystem(capped))
+                assert all(path[0] in a and path[-1] in b for path in capped)
+                if t >= kappa:
+                    assert capped == paths
+
+    def test_no_limit_keeps_the_paths(self):
+        # sha256 of the path systems max_disjoint_paths gave on these cases
+        # before _max_flow took a limit
+        paths = [_max_flow(g, a, b, limit=None)[0] for g, a, b in flow_cases()]
+        assert [max_disjoint_paths(g, a, b).paths for g, a, b in flow_cases()] == paths
+        digest = hashlib.sha256(repr(paths).encode()).hexdigest()
+        assert digest == "105ed8fe289dba00c8b403596b8cc8071b40f65decf678595487a684855634bf"
+
+
+def three_table_pathwidth(g):
+    """Reference for exact_pathwidth: the DP with boundary, best and choice
+    tables, whose tie-break (lowest vertex attaining the minimum) and
+    decomposition the two-table DP must reproduce."""
+    n = g.vertex_count
+    if n == 0:
+        return -1, PathDecomposition((frozenset(),))
+    out_mask = g.out_mask
+    full = (1 << n) - 1
+    boundary_size = [0] * (full + 1)
+    for mask in range(1, full + 1):
+        boundary_size[mask] = sum(
+            1 for v in range(n) if mask >> v & 1 and out_mask[v] & ~mask
+        )
+    best = [0] * (full + 1)
+    choice = [-1] * (full + 1)
+    for mask in range(1, full + 1):
+        cost = None
+        for v in range(n):
+            if mask >> v & 1:
+                prev = mask & ~(1 << v)
+                c = max(best[prev], boundary_size[prev])
+                if cost is None or c < cost:
+                    cost, choice[mask] = c, v
+        best[mask] = cost
+    order = []
+    mask = full
+    while mask:
+        order.append(choice[mask])
+        mask &= ~(1 << choice[mask])
+    order.reverse()
+    out_bags, introduced, bag = [], 0, set()
+    for v in order:
+        bag.add(v)
+        introduced |= 1 << v
+        out_bags.append(frozenset(bag))
+        for u in sorted(bag, reverse=True):
+            if not (out_mask[u] & ~introduced):
+                bag.discard(u)
+                out_bags.append(frozenset(bag))
+    return best[full], PathDecomposition(tuple(out_bags))
+
+
+def assert_same_dp(g):
+    width, p = exact_pathwidth(g)
+    ref_width, ref = three_table_pathwidth(g)
+    assert width == ref_width and p.to_json() == ref.to_json()
+    return width
+
+
+class TestDPTieBreak:
+    def test_small_exhaustive(self):
+        for n in range(6):
+            for g in all_tournaments(n):
+                assert_same_dp(g)
+        for n in range(1, 5):
+            for g in all_semi_complete(n):
+                assert_same_dp(g)
+
+    def test_seeded_digraphs(self):
+        rng = random.Random(17)
+        for i in range(300):
+            n = rng.randrange(1, 11)
+            if i % 2:
+                g = random_semi_complete(n, rng)
+            else:
+                g = gen_random_digraph(n, rng.randrange(1 << 30), rng.choice((0.2, 0.5)))
+            width = assert_same_dp(g)
+            if n <= 6 and i % 3 == 0:
+                assert width == pathwidth_brute_force(g)
