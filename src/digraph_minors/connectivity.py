@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .core import Digraph, induced_subdigraph, is_semi_complete
+from .core import Digraph, _bits, induced_subdigraph, is_semi_complete
 
 
 @dataclass(frozen=True)
@@ -261,12 +261,6 @@ def find_k_triple(g: Digraph, k: int) -> KTriple | None:
     outs = g.out_mask
     full = (1 << n) - 1
 
-    def bits(mask):
-        while mask:
-            low = mask & -mask
-            yield low.bit_length() - 1
-            mask &= mask - 1
-
     def match(c_list, a_list):
         # Kuhn's algorithm: match every c_i to a distinct a with edge c->a
         match_to: dict[int, int] = {}
@@ -295,7 +289,7 @@ def find_k_triple(g: Digraph, k: int) -> KTriple | None:
             b_cand &= outs[v]
         if b_cand.bit_count() < k:
             continue
-        for b_set in combinations(sorted(bits(b_cand)), k):
+        for b_set in combinations(_bits(b_cand), k):
             b_mask = 0
             for v in b_set:
                 b_mask |= 1 << v
@@ -304,7 +298,7 @@ def find_k_triple(g: Digraph, k: int) -> KTriple | None:
                 c_cand &= outs[v]
             if c_cand.bit_count() < k:
                 continue
-            for c_set in combinations(sorted(bits(c_cand)), k):
+            for c_set in combinations(_bits(c_cand), k):
                 assignment = match(list(c_set), list(a_set))
                 if assignment is None:
                     continue
@@ -328,8 +322,9 @@ def local_connectivity(g: Digraph, u: int, v: int) -> int:
     # paths from u's out-neighbours to v's in-neighbours in g - {u, v}.
     rest, old_ids, _ = induced_subdigraph(g, set(range(g.vertex_count)) - {u, v})
     new_id = {x: i for i, x in enumerate(old_ids)}
-    a = [new_id[x] for x in g.out_sets[u] if x in new_id]
-    b = [new_id[x] for x in g.in_sets[v] if x in new_id]
+    ends = ~(1 << u | 1 << v)
+    a = [new_id[x] for x in _bits(g.out_mask[u] & ends)]
+    b = [new_id[x] for x in _bits(g.in_mask[v] & ends)]
     return g.multiplicity.get((u, v), 0) + len(max_disjoint_paths(rest, a, b))
 
 

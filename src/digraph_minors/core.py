@@ -9,9 +9,7 @@ shared freely between threads.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from functools import cached_property
-from itertools import combinations
+from dataclasses import dataclass, field
 
 
 class ParseError(ValueError):
@@ -24,61 +22,45 @@ class ParseError(ValueError):
 
 @dataclass(frozen=True)
 class Digraph:
+    """A multi-digraph on vertices 0..n-1 with its one adjacency view, built
+    at construction: bit h of `out_mask[v]` (bit t of `in_mask[v]`) is set
+    iff some edge runs v -> h (t -> v), loops included, and `multiplicity`
+    maps each (tail, head) pair to its number of edges."""
+
     vertex_count: int
     edges: tuple[tuple[int, int], ...]
+    out_mask: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    in_mask: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    multiplicity: dict[tuple[int, int], int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.vertex_count < 0:
+        n = self.vertex_count
+        if n < 0:
             raise ValueError("vertex_count must be non-negative")
-        object.__setattr__(self, "edges", tuple((int(t), int(h)) for t, h in self.edges))
+        edges = []
+        out = [0] * n
+        inn = [0] * n
+        mult: dict[tuple[int, int], int] = {}
         for t, h in self.edges:
-            if not (0 <= t < self.vertex_count and 0 <= h < self.vertex_count):
-                raise ValueError(f"edge ({t},{h}) out of range for n={self.vertex_count}")
+            t, h = int(t), int(h)
+            if not (0 <= t < n and 0 <= h < n):
+                raise ValueError(f"edge ({t},{h}) out of range for n={n}")
+            out[t] |= 1 << h
+            inn[h] |= 1 << t
+            e = (t, h)
+            edges.append(e)
+            mult[e] = mult.get(e, 0) + 1
+        object.__setattr__(self, "edges", tuple(edges))
+        object.__setattr__(self, "out_mask", tuple(out))
+        object.__setattr__(self, "in_mask", tuple(inn))
+        object.__setattr__(self, "multiplicity", mult)
 
     @property
     def edge_count(self) -> int:
         return len(self.edges)
 
-    @cached_property
-    def out_sets(self) -> tuple[frozenset[int], ...]:
-        """out_sets[v] = set of heads of edges with tail v (ignoring multiplicity)."""
-        outs = [set() for _ in range(self.vertex_count)]
-        for t, h in self.edges:
-            outs[t].add(h)
-        return tuple(frozenset(s) for s in outs)
-
-    @cached_property
-    def in_sets(self) -> tuple[frozenset[int], ...]:
-        ins = [set() for _ in range(self.vertex_count)]
-        for t, h in self.edges:
-            ins[h].add(t)
-        return tuple(frozenset(s) for s in ins)
-
-    @cached_property
-    def out_mask(self) -> tuple[int, ...]:
-        """Bit h of out_mask[v] is set iff some edge runs v -> h (loops included)."""
-        masks = [0] * self.vertex_count
-        for t, h in self.edges:
-            masks[t] |= 1 << h
-        return tuple(masks)
-
-    @cached_property
-    def in_mask(self) -> tuple[int, ...]:
-        """Bit t of in_mask[v] is set iff some edge runs t -> v (loops included)."""
-        masks = [0] * self.vertex_count
-        for t, h in self.edges:
-            masks[h] |= 1 << t
-        return tuple(masks)
-
-    @cached_property
-    def multiplicity(self) -> dict[tuple[int, int], int]:
-        mult: dict[tuple[int, int], int] = {}
-        for e in self.edges:
-            mult[e] = mult.get(e, 0) + 1
-        return mult
-
     def has_edge(self, u: int, v: int) -> bool:
-        return v in self.out_sets[u]
+        return bool(self.out_mask[u] >> v & 1)
 
     def to_text(self) -> str:
         """Canonical text form: `n m` header, then sorted `tail head` lines."""
@@ -170,7 +152,7 @@ def scc_decompose(g: Digraph) -> tuple[frozenset[int], ...]:
     stack: list[int] = []
     comps: list[frozenset[int]] = []
     counter = 0
-    outs = [sorted(s) for s in g.out_sets]
+    outs = [_bits(m) for m in g.out_mask]
 
     for root in range(n):
         if index[root] != -1:
@@ -213,7 +195,17 @@ def scc_decompose(g: Digraph) -> tuple[frozenset[int], ...]:
     return tuple(comps)
 
 
-def _reaches_all(adj: tuple[int, ...], mask: int) -> bool:
+def _bits(mask: int) -> list[int]:
+    """The vertices of the bitmask `mask`, ascending."""
+    vs = []
+    while mask:
+        low = mask & -mask
+        vs.append(low.bit_length() - 1)
+        mask ^= low
+    return vs
+
+
+def _reaches_all(adj, mask: int) -> bool:
     """True iff every vertex of the non-empty bitmask `mask` is reachable from
     its lowest vertex along the adjacency masks `adj` without leaving `mask`."""
     seen = todo = mask & -mask
@@ -226,16 +218,27 @@ def _reaches_all(adj: tuple[int, ...], mask: int) -> bool:
     return seen == mask
 
 
-def _strongly_connected(g: Digraph, mask: int) -> bool:
-    return bool(mask) and _reaches_all(g.out_mask, mask) and _reaches_all(g.in_mask, mask)
+def _strongly_connected(out, inn, mask: int) -> bool:
+    return bool(mask) and _reaches_all(out, mask) and _reaches_all(inn, mask)
+
+
+def _edges_strongly_connected(edges, mask: int) -> bool:
+    """True iff the bitmask `mask` is non-empty and strongly connected along
+    `edges` alone, (tail, head) pairs with both ends in `mask`."""
+    out = [0] * mask.bit_length()
+    inn = out.copy()
+    for t, h in edges:
+        out[t] |= 1 << h
+        inn[h] |= 1 << t
+    return _strongly_connected(out, inn, mask)
 
 
 def is_strongly_connected(g: Digraph, sub: Subdigraph) -> bool:
     """True iff `sub` is non-null and mutually reachable inside its own edges."""
     if sub.host is not g and sub.host != g:
         raise ValueError("subdigraph belongs to a different host")
-    own = Digraph(g.vertex_count, tuple(g.edges[i] for i in sub.edge_indices))
-    return _strongly_connected(own, sum(1 << v for v in sub.vertices))
+    mask = sum(1 << v for v in sub.vertices)
+    return _edges_strongly_connected((g.edges[i] for i in sub.edge_indices), mask)
 
 
 def induced_strongly_connected(g: Digraph, vertices) -> bool:
@@ -245,7 +248,7 @@ def induced_strongly_connected(g: Digraph, vertices) -> bool:
         if not 0 <= v < g.vertex_count:
             raise ValueError(f"vertex {v} outside host")
         mask |= 1 << v
-    return _strongly_connected(g, mask)
+    return _strongly_connected(g.out_mask, g.in_mask, mask)
 
 
 def contract(g: Digraph, h: Subdigraph) -> tuple[Digraph, int]:
@@ -304,22 +307,14 @@ def induced_subdigraph(g: Digraph, vertices) -> tuple[Digraph, tuple[int, ...], 
 
 
 def is_simple(g: Digraph) -> bool:
-    seen = set()
-    for t, h in g.edges:
-        if t == h or (t, h) in seen:
-            return False
-        seen.add((t, h))
-    return True
+    return all(k == 1 and t != h for (t, h), k in g.multiplicity.items())
 
 
 def is_semi_complete(g: Digraph) -> bool:
     if not is_simple(g):
         return False
-    outs = g.out_sets
-    return all(
-        v in outs[u] or u in outs[v]
-        for u, v in combinations(range(g.vertex_count), 2)
-    )
+    full = (1 << g.vertex_count) - 1
+    return all(o | i | 1 << v == full for v, (o, i) in enumerate(zip(g.out_mask, g.in_mask)))
 
 
 def is_acyclic(g: Digraph) -> bool:
@@ -376,10 +371,8 @@ def stability_number(g: Digraph) -> int:
 def classify(g: Digraph) -> DigraphClass:
     simple = is_simple(g)
     semi = is_semi_complete(g)
-    tournament = semi and all(
-        not (g.has_edge(u, v) and g.has_edge(v, u))
-        for u, v in combinations(range(g.vertex_count), 2)
-    )
+    # semi-complete digraphs are loopless, so out & in marks a 2-cycle
+    tournament = semi and not any(o & i for o, i in zip(g.out_mask, g.in_mask))
     return DigraphClass(
         simple=simple,
         semi_complete=semi,

@@ -156,6 +156,12 @@ def all_semi_complete(n: int):
         choices[i] += 1
 
 
+def _check_at_least(name: str, value: int, low: int) -> None:
+    if value < low:
+        bound = "non-negative" if low == 0 else f"at least {low}"
+        raise ValueError(f"{name} must be {bound}, got {value}")
+
+
 def _report(name: str, params: dict, instances: list, aggregate: dict) -> dict:
     return {
         "schema": "experiment-report/1",
@@ -168,17 +174,23 @@ def _report(name: str, params: dict, instances: list, aggregate: dict) -> dict:
 
 def counterexample_super(max_i: int = 5, budget: int = 2_000_000) -> dict:
     """Pairwise minor checks in the doubled-ring super-tournament family:
-    expected absent for i < j and found for i = j."""
+    expected absent for i < j and found for i = j; a pair that exhausts the
+    budget reads "budget" and fails."""
+    _check_at_least("max_i", max_i, 3)
+    _check_at_least("budget", budget, 0)
     instances = []
     ok = True
     for i in range(3, max_i + 1):
         for j in range(i, max_i + 1):
             t0 = time.perf_counter()
-            mapping = find_minor(
-                gen_super_tournament(i), gen_super_tournament(j), budget=budget
-            )
+            try:
+                mapping = find_minor(
+                    gen_super_tournament(i), gen_super_tournament(j), budget=budget
+                )
+                got = "absent" if mapping is None else "found"
+            except BudgetExceededError:
+                got = "budget"
             expected = "found" if i == j else "absent"
-            got = "absent" if mapping is None else "found"
             instances.append(
                 {
                     "pattern": i,
@@ -245,13 +257,6 @@ def counterexample_stability(j: int = 3) -> dict:
     )
 
 
-def _check_size_and_samples(n: int, samples: int) -> None:
-    if n < 1:
-        raise ValueError(f"n must be at least 1, got {n}")
-    if samples < 0:
-        raise ValueError(f"samples must be non-negative, got {samples}")
-
-
 def oracle_equivalence(n: int = 4, samples: int = 10, seed: int = 0) -> dict:
     """Cross-check the two minor definitions: the closure of each host must
     equal the set of candidates accepted by the mapping search.
@@ -260,7 +265,8 @@ def oracle_equivalence(n: int = 4, samples: int = 10, seed: int = 0) -> dict:
     form) plus `samples` seeded random digraphs on 1..5 vertices.  The
     candidate pool is the union of all the hosts' closures.
     """
-    _check_size_and_samples(n, samples)
+    _check_at_least("n", n, 1)
+    _check_at_least("samples", samples, 0)
     hosts: list[Digraph] = []
     seen: set[Digraph] = set()
     for nn in range(1, min(n, 4) + 1):
@@ -320,7 +326,8 @@ def oracle_equivalence(n: int = 4, samples: int = 10, seed: int = 0) -> dict:
 
 def pathwidth_oracle_experiment(n: int = 6, samples: int = 25, seed: int = 0) -> dict:
     """Production path-width solver against the normalized-sequence search."""
-    _check_size_and_samples(n, samples)
+    _check_at_least("n", n, 1)
+    _check_at_least("samples", samples, 0)
     if n > PATHWIDTH_MAX_VERTICES:
         raise ValueError(f"n must be at most {PATHWIDTH_MAX_VERTICES}, got {n}")
     rng = random.Random(seed)
@@ -361,6 +368,9 @@ def pathwidth_oracle_experiment(n: int = 6, samples: int = 25, seed: int = 0) ->
 def wqo_sample(count: int = 10, n_max: int = 6, seed: int = 0,
                budget: int = 500_000) -> dict:
     """Pairwise comparability statistics over a seeded tournament sequence."""
+    _check_at_least("count", count, 0)
+    _check_at_least("n_max", n_max, 1)
+    _check_at_least("budget", budget, 0)
     rng = random.Random(seed)
     graphs = [
         gen_random_tournament(rng.randrange(1, n_max + 1), rng.randrange(1 << 30))

@@ -19,11 +19,12 @@ from itertools import combinations, permutations, product
 from .core import (
     Digraph,
     Subdigraph,
+    _bits,
+    _edges_strongly_connected,
     _reaches_all,
     contract,
     delete_edge,
     delete_vertex,
-    induced_strongly_connected,
     is_semi_complete,
     is_strongly_connected,
 )
@@ -144,10 +145,6 @@ def _strongly_connected_masks(g: Digraph) -> list[int]:
     return masks
 
 
-def _mask_vertices(mask: int) -> frozenset[int]:
-    return frozenset(v for v in range(mask.bit_length()) if mask >> v & 1)
-
-
 def _neighbour_union(adj: tuple[int, ...], mask: int) -> int:
     """OR of adj[v] over the vertices v of mask."""
     union = 0
@@ -157,17 +154,16 @@ def _neighbour_union(adj: tuple[int, ...], mask: int) -> int:
     return union
 
 
-def _connecting_edges(g: Digraph, vertices: frozenset[int]) -> tuple[int, ...]:
+def _connecting_edges(g: Digraph, mask: int) -> tuple[int, ...]:
     """First smallest set of induced edges, in (size, edge ids) order, that
-    keeps `vertices` strongly connected; empty for a single vertex."""
-    if len(vertices) == 1:
+    keeps the vertex bitmask `mask` strongly connected; empty for a single
+    vertex."""
+    if not mask & (mask - 1):
         return ()
-    internal = [i for i, (t, h) in enumerate(g.edges)
-                if t in vertices and h in vertices]
-    for size in range(len(vertices), len(internal) + 1):
+    internal = [i for i, (t, h) in enumerate(g.edges) if mask >> t & 1 and mask >> h & 1]
+    for size in range(mask.bit_count(), len(internal) + 1):
         for combo in combinations(internal, size):
-            own = Digraph(g.vertex_count, tuple(g.edges[i] for i in combo))
-            if induced_strongly_connected(own, vertices):
+            if _edges_strongly_connected((g.edges[i] for i in combo), mask):
                 return combo
     raise ValueError("vertex set is not strongly connected")
 
@@ -190,19 +186,19 @@ def assign_witnesses(h: Digraph, g: Digraph, branch_sets: list[Subdigraph]) -> t
     return tuple(witness)
 
 
-def _build_mapping(h: Digraph, g: Digraph, classes: list[frozenset[int]]) -> MinorMapping:
-    """Materialize a mapping from disjoint strongly-connected vertex classes
+def _build_mapping(h: Digraph, g: Digraph, classes: list[int]) -> MinorMapping:
+    """Materialize a mapping from disjoint strongly-connected vertex masks
     that satisfy the per-pair edge counts.  A class keeps all its induced
     edges unless it is one vertex or its pattern vertex has loops; then it
     keeps only its first smallest connecting edge set."""
     branch_sets = []
     for v, cls in enumerate(classes):
-        if h.multiplicity.get((v, v)) or len(cls) == 1:
+        if h.multiplicity.get((v, v)) or cls.bit_count() == 1:
             edge_set = frozenset(_connecting_edges(g, cls))
         else:
             edge_set = frozenset(i for i, (t, hd) in enumerate(g.edges)
-                                 if t in cls and hd in cls)
-        branch_sets.append(Subdigraph(g, cls, edge_set))
+                                 if cls >> t & 1 and cls >> hd & 1)
+        branch_sets.append(Subdigraph(g, frozenset(_bits(cls)), edge_set))
     return MinorMapping(tuple(branch_sets), assign_witnesses(h, g, branch_sets))
 
 
@@ -243,8 +239,7 @@ def find_minor(
 
     def loop_capacity(cls: int) -> int:
         if cls not in spare_cache:
-            spare_cache[cls] = (cross_count(cls, cls)
-                                - len(_connecting_edges(g, _mask_vertices(cls))))
+            spare_cache[cls] = cross_count(cls, cls) - len(_connecting_edges(g, cls))
         return spare_cache[cls]
 
     def cross_count(src: int, dst: int) -> int:
@@ -284,7 +279,7 @@ def find_minor(
 
     if not backtrack(0, 0):
         return None
-    mapping = _build_mapping(h, g, [_mask_vertices(cls) for cls in chosen])
+    mapping = _build_mapping(h, g, chosen)
     report = verify_mapping(h, g, mapping)
     assert report.ok, report.failures
     return mapping
@@ -370,8 +365,8 @@ def _refine_colors(g: Digraph) -> list[list[int]]:
     label-invariant order (classes ordered by their signature)."""
     n = g.vertex_count
     mult = g.multiplicity
-    outs = [[(h, mult[(v, h)]) for h in sorted(g.out_sets[v])] for v in range(n)]
-    ins = [[(t, mult[(t, v)]) for t in sorted(g.in_sets[v])] for v in range(n)]
+    outs = [[(h, mult[(v, h)]) for h in _bits(g.out_mask[v])] for v in range(n)]
+    ins = [[(t, mult[(t, v)]) for t in _bits(g.in_mask[v])] for v in range(n)]
     base = [
         (sum(m for _, m in outs[v]), sum(m for _, m in ins[v]), mult.get((v, v), 0))
         for v in range(n)
@@ -448,7 +443,7 @@ def closure_oracle(g: Digraph) -> frozenset[Digraph]:
             for v in range(q.vertex_count):
                 results.append(delete_vertex(q, v))
             for mask in _strongly_connected_masks(q)[q.vertex_count:]:
-                contracted, _ = contract(q, Subdigraph.induced(q, _mask_vertices(mask)))
+                contracted, _ = contract(q, Subdigraph.induced(q, _bits(mask)))
                 results.append(contracted)
             for res in results:
                 canon = canonical_form(res)

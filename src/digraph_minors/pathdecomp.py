@@ -199,6 +199,12 @@ def _linked_violation(g: Digraph, bags) -> tuple[int, int, int] | None:
     return None
 
 
+def _shape_flags(p: PathDecomposition) -> tuple[bool, bool]:
+    """The increment and cardinality conditions of a linked decomposition."""
+    increments_ok = all(len(x ^ y) == 1 for x, y in zip(p.bags, p.bags[1:]))
+    return increments_ok, len(p.first) == p.min_bag == len(p.last)
+
+
 def verify(g: Digraph, p: PathDecomposition, check_linked: bool = False) -> DecompReport:
     """Check every decomposition condition independently; optionally also the
     increment, cardinality and linked conditions."""
@@ -234,10 +240,7 @@ def verify(g: Digraph, p: PathDecomposition, check_linked: bool = False) -> Deco
     max_bag = p.max_bag if valid else None
     linked = None
     if check_linked:
-        increments_ok = all(
-            len(p.bags[i] ^ p.bags[i + 1]) == 1 for i in range(p.r - 1)
-        )
-        cardinality_ok = len(p.first) == p.min_bag == len(p.last)
+        increments_ok, cardinality_ok = _shape_flags(p)
         witness = None
         linked_ok = True
         if valid:
@@ -478,7 +481,6 @@ def build_linked(g: Digraph, p: PathDecomposition, a, b) -> PathDecomposition:
         assert new_measure.counts > measure.counts, "lex measure failed to increase"
         measure = new_measure
 
-    final = verify(g, p, check_linked=True)
-    assert final.valid and final.linked is not None
-    assert final.linked.increment_ok and final.linked.cardinality_ok and final.linked.linked_ok
+    # the loop's last _linked_violation call has just found p linked
+    assert verify(g, p).valid and all(_shape_flags(p))
     return p

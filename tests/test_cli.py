@@ -240,6 +240,16 @@ class TestExperiment:
         data = json.loads(out)
         assert data["aggregate"]["all_pass"] is True
 
+    def test_budget_hit_is_a_failed_instance(self, capsys):
+        code, out, _ = run(capsys, "experiment", "counterexample-super",
+                           "--param", "max_i=4", "--param", "budget=10")
+        assert code == 1
+        data = json.loads(out)
+        assert data["aggregate"] == {"all_pass": False, "pairs": 3}
+        # the 3 -> 4 absence needs more than 10 placements
+        assert [(inst["result"], inst["pass"]) for inst in data["instances"]] == [
+            ("found", True), ("budget", False), ("found", True)]
+
     def test_determinism(self, capsys):
         args = ("experiment", "wqo-sample", "--param", "count=4", "--param",
                 "n_max=4", "--param", "seed=3")
@@ -260,6 +270,11 @@ class TestExperiment:
         ("pathwidth-oracle", "n=0"),
         ("pathwidth-oracle", "samples=-1"),
         ("pathwidth-oracle", f"n={PATHWIDTH_MAX_VERTICES + 1}"),
+        ("counterexample-super", "budget=-1"),
+        ("counterexample-super", "max_i=2"),
+        ("wqo-sample", "count=-1"),
+        ("wqo-sample", "n_max=0"),
+        ("wqo-sample", "budget=-1"),
     ],
 )
 def test_experiment_parameter_out_of_range_exit_2(capsys, name, param):

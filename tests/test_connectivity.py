@@ -39,8 +39,8 @@ def brute_force_min_cut(g, a, b):
             todo = list(live_a)
             while todo:
                 v = todo.pop()
-                for w in g.out_sets[v]:
-                    if w not in xs and w not in seen:
+                for w in range(n):
+                    if g.out_mask[v] >> w & 1 and w not in xs and w not in seen:
                         seen.add(w)
                         todo.append(w)
             if not (seen & live_b):

@@ -48,8 +48,8 @@ def reachable(g, start):
     todo = [start]
     while todo:
         v = todo.pop()
-        for w in g.out_sets[v]:
-            if w not in seen:
+        for w in range(g.vertex_count):
+            if g.out_mask[v] >> w & 1 and w not in seen:
                 seen.add(w)
                 todo.append(w)
     return seen
@@ -124,11 +124,36 @@ class TestMasks:
         assert g.out_mask == (0b010, 0b110, 0b001)
         assert g.in_mask == (0b100, 0b011, 0b010)
 
-    def test_agree_with_neighbour_sets(self):
-        g = gen_random_tournament(6, seed=2)
-        for v in range(6):
-            assert g.out_mask[v] == sum(1 << w for w in g.out_sets[v])
-            assert g.in_mask[v] == sum(1 << w for w in g.in_sets[v])
+    def test_agree_with_a_recount_of_the_edges(self):
+        rng = random.Random(11)
+        loops = parallel = 0
+        for _ in range(200):
+            n = rng.randint(1, 8)
+            g = Digraph(n, tuple(
+                (rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 3 * n))
+            ))
+            loops += any(t == h for t, h in g.edges)
+            parallel += len(set(g.edges)) < len(g.edges)
+            out, inn, mult = [0] * n, [0] * n, {}
+            for t, h in g.edges:
+                out[t] |= 1 << h
+                inn[h] |= 1 << t
+                mult[(t, h)] = mult.get((t, h), 0) + 1
+            assert g.out_mask == tuple(out)
+            assert g.in_mask == tuple(inn)
+            assert g.multiplicity == mult
+            assert sum(mult.values()) == len(g.edges)
+            for u in range(n):
+                for v in range(n):
+                    assert g.has_edge(u, v) == ((u, v) in mult)
+        assert loops and parallel
+
+    def test_views_take_no_part_in_equality(self):
+        g = Digraph(3, ((0, 1), (1, 1)))
+        assert repr(g) == "Digraph(vertex_count=3, edges=((0, 1), (1, 1)))"
+        assert g == Digraph(3, [(0, 1), (1, 1)]) and hash(g) == hash(Digraph(3, ((0, 1), (1, 1))))
+        with pytest.raises(AttributeError):
+            g.out_mask = (0, 0, 0)
 
 
 class TestStrongConnectivity:
@@ -160,6 +185,26 @@ class TestStrongConnectivity:
                 for s in itertools.combinations(range(n), size):
                     sub, _, _ = induced_subdigraph(g, s)
                     assert induced_strongly_connected(g, s) == (len(scc_decompose(sub)) == 1)
+
+    def test_edge_subsets_agree_with_scc_decompose(self):
+        rng = random.Random(7)
+        outcomes = set()
+        for _ in range(400):
+            n = rng.randint(1, 7)
+            g = Digraph(n, tuple(
+                (rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 4 * n))
+            ))
+            vs = frozenset(v for v in range(n) if rng.random() < 0.7) or frozenset({0})
+            inside = [i for i, (t, h) in enumerate(g.edges) if t in vs and h in vs]
+            kept = frozenset(i for i in inside if rng.random() < 0.6)
+            order = sorted(vs)
+            own = Digraph(len(order), tuple(
+                (order.index(g.edges[i][0]), order.index(g.edges[i][1])) for i in kept
+            ))
+            expected = len(scc_decompose(own)) == 1
+            assert is_strongly_connected(g, Subdigraph(g, vs, kept)) == expected
+            outcomes.add((expected, kept != frozenset(inside)))
+        assert outcomes == {(False, False), (False, True), (True, False), (True, True)}
 
     def test_induced_empty_false_and_out_of_range_rejected(self):
         g = gen_cycle(3)

@@ -52,13 +52,13 @@ def random_order_decomposition(g, rng):
     n = g.vertex_count
     order = list(range(n))
     rng.shuffle(order)
-    introduced, bag, out_bags = set(), set(), []
+    introduced, bag, out_bags = 0, set(), []
     for v in order:
         bag.add(v)
-        introduced.add(v)
+        introduced |= 1 << v
         out_bags.append(frozenset(bag))
         for u in sorted(bag, reverse=True):
-            if g.out_sets[u] <= introduced:
+            if not g.out_mask[u] & ~introduced:
                 bag.discard(u)
                 out_bags.append(frozenset(bag))
     return PathDecomposition(tuple(out_bags))
