@@ -156,10 +156,13 @@ def all_semi_complete(n: int):
         choices[i] += 1
 
 
-def _check_at_least(name: str, value: int, low: int) -> None:
+def _check_bounds(name: str, value: int, low: int, high: int | None = None) -> None:
+    """Refuse a parameter below `low` or, when `high` is given, above it."""
     if value < low:
         bound = "non-negative" if low == 0 else f"at least {low}"
         raise ValueError(f"{name} must be {bound}, got {value}")
+    if high is not None and value > high:
+        raise ValueError(f"{name} must be at most {high}, got {value}")
 
 
 def _report(name: str, params: dict, instances: list, aggregate: dict) -> dict:
@@ -176,8 +179,8 @@ def counterexample_super(max_i: int = 5, budget: int = 2_000_000) -> dict:
     """Pairwise minor checks in the doubled-ring super-tournament family:
     expected absent for i < j and found for i = j; a pair that exhausts the
     budget reads "budget" and fails."""
-    _check_at_least("max_i", max_i, 3)
-    _check_at_least("budget", budget, 0)
+    _check_bounds("max_i", max_i, 3)
+    _check_bounds("budget", budget, 0)
     instances = []
     ok = True
     for i in range(3, max_i + 1):
@@ -261,15 +264,15 @@ def oracle_equivalence(n: int = 4, samples: int = 10, seed: int = 0) -> dict:
     """Cross-check the two minor definitions: the closure of each host must
     equal the set of candidates accepted by the mapping search.
 
-    Hosts: every tournament up to `n` vertices (deduplicated by canonical
-    form) plus `samples` seeded random digraphs on 1..5 vertices.  The
-    candidate pool is the union of all the hosts' closures.
+    Hosts: every tournament up to `n` <= 4 vertices (deduplicated by
+    canonical form) plus `samples` seeded random digraphs on 1..5 vertices.
+    The candidate pool is the union of all the hosts' closures.
     """
-    _check_at_least("n", n, 1)
-    _check_at_least("samples", samples, 0)
+    _check_bounds("n", n, 1, 4)
+    _check_bounds("samples", samples, 0)
     hosts: list[Digraph] = []
     seen: set[Digraph] = set()
-    for nn in range(1, min(n, 4) + 1):
+    for nn in range(1, n + 1):
         for t in all_tournaments(nn):
             c = canonical_form(t)
             if c not in seen:
@@ -326,10 +329,8 @@ def oracle_equivalence(n: int = 4, samples: int = 10, seed: int = 0) -> dict:
 
 def pathwidth_oracle_experiment(n: int = 6, samples: int = 25, seed: int = 0) -> dict:
     """Production path-width solver against the normalized-sequence search."""
-    _check_at_least("n", n, 1)
-    _check_at_least("samples", samples, 0)
-    if n > PATHWIDTH_MAX_VERTICES:
-        raise ValueError(f"n must be at most {PATHWIDTH_MAX_VERTICES}, got {n}")
+    _check_bounds("n", n, 1, PATHWIDTH_MAX_VERTICES)
+    _check_bounds("samples", samples, 0)
     rng = random.Random(seed)
     instances = []
     ok = True
@@ -368,9 +369,9 @@ def pathwidth_oracle_experiment(n: int = 6, samples: int = 25, seed: int = 0) ->
 def wqo_sample(count: int = 10, n_max: int = 6, seed: int = 0,
                budget: int = 500_000) -> dict:
     """Pairwise comparability statistics over a seeded tournament sequence."""
-    _check_at_least("count", count, 0)
-    _check_at_least("n_max", n_max, 1)
-    _check_at_least("budget", budget, 0)
+    _check_bounds("count", count, 0)
+    _check_bounds("n_max", n_max, 1)
+    _check_bounds("budget", budget, 0)
     rng = random.Random(seed)
     graphs = [
         gen_random_tournament(rng.randrange(1, n_max + 1), rng.randrange(1 << 30))

@@ -267,6 +267,7 @@ class TestExperiment:
         ("oracle-equivalence", "n=0"),
         ("oracle-equivalence", "n=-1"),
         ("oracle-equivalence", "samples=-3"),
+        ("oracle-equivalence", "n=5"),
         ("pathwidth-oracle", "n=0"),
         ("pathwidth-oracle", "samples=-1"),
         ("pathwidth-oracle", f"n={PATHWIDTH_MAX_VERTICES + 1}"),

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 
@@ -344,6 +345,18 @@ class TestCanonicalForm:
         relabeled = Digraph(5, tuple(((t + 2) % 5, (h + 2) % 5) for t, h in gen_cycle(5).edges))
         assert canonical_form(gen_cycle(5)) == canonical_form(relabeled)
 
+    def test_returns_a_fresh_value(self):
+        # the cache holds edge tuples, so a caller that writes to the returned
+        # value's multiplicity cannot change what the next caller gets
+        g = Digraph(3, ((0, 1), (0, 1), (1, 2)))
+        first = canonical_form(g)
+        first.multiplicity[first.edges[0]] = 7
+        first.multiplicity[(2, 2)] = 1
+        again = canonical_form(g)
+        assert again == first and again is not first
+        assert again.multiplicity == Digraph(3, again.edges).multiplicity
+        assert sorted(again.multiplicity.values()) == [1, 2]
+
     def test_equal_canonical_form_iff_isomorphic(self):
         # same form must mean isomorphic; different forms with identical
         # size/degree data must mean no isomorphism exists
@@ -386,6 +399,10 @@ class TestClosureOracle:
         with pytest.raises(ValueError):
             closure_oracle(gen_transitive(8))
 
+    def test_guard_refuses_seven_vertices(self):
+        with pytest.raises(ValueError, match="at most 6 vertices"):
+            closure_oracle(gen_random_tournament(7, seed=0))
+
     def test_keystone_equivalence_tournaments_n3(self):
         for g in all_tournaments(3):
             clos = closure_oracle(g)
@@ -402,6 +419,114 @@ class TestClosureOracle:
         # every member's own closure is contained in the host closure
         member = sorted(clos, key=lambda d: (d.vertex_count, len(d.edges)))[-1]
         assert closure_oracle(member) <= clos
+
+
+@functools.lru_cache(maxsize=65536)
+def _reference_canonical_form(g):
+    """The Digraph-valued canonical form that `_canonical_edges` replaced:
+    refinement until the colouring stops changing, then the least relabelled
+    edge tuple over products of within-class permutations."""
+    n = g.vertex_count
+    if n <= 1:
+        return Digraph(n, tuple(sorted(g.edges)))
+    mult = g.multiplicity
+    outs = [[(h, mult[(v, h)]) for h in range(n) if g.out_mask[v] >> h & 1] for v in range(n)]
+    ins = [[(t, mult[(t, v)]) for t in range(n) if g.in_mask[v] >> t & 1] for v in range(n)]
+    base = [
+        (sum(m for _, m in outs[v]), sum(m for _, m in ins[v]), mult.get((v, v), 0))
+        for v in range(n)
+    ]
+    lookup = {s: i for i, s in enumerate(sorted(set(base)))}
+    color = [lookup[s] for s in base]
+    while True:
+        sigs = [
+            (
+                color[v],
+                tuple(sorted((color[w], m) for w, m in outs[v])),
+                tuple(sorted((color[w], m) for w, m in ins[v])),
+            )
+            for v in range(n)
+        ]
+        lookup = {s: i for i, s in enumerate(sorted(set(sigs)))}
+        new_color = [lookup[sigs[v]] for v in range(n)]
+        if new_color == color:
+            break
+        color = new_color
+    classes = {}
+    for v in range(n):
+        classes.setdefault(color[v], []).append(v)
+    classes = [classes[c] for c in sorted(classes)]
+    offsets = list(itertools.accumulate([0] + [len(c) for c in classes[:-1]]))
+    best = None
+    for perm_combo in itertools.product(*(itertools.permutations(c) for c in classes)):
+        relabel = [0] * n
+        for cls_perm, off in zip(perm_combo, offsets):
+            for i, v in enumerate(cls_perm):
+                relabel[v] = off + i
+        edges = tuple(sorted((relabel[t], relabel[h]) for t, h in g.edges))
+        if best is None or edges < best:
+            best = edges
+    return Digraph(n, best)
+
+
+def _reference_closure(g):
+    """The Digraph-valued breadth-first search that the encoded closure
+    replaced, built from `core.delete_edge`, `delete_vertex` and `contract`."""
+    start = _reference_canonical_form(g)
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        fresh = []
+        for q in frontier:
+            n = q.vertex_count
+            results = [delete_edge(q, i) for i in range(len(q.edges))]
+            results += [delete_vertex(q, v) for v in range(n)]
+            for size in range(2, n + 1):
+                for vs in itertools.combinations(range(n), size):
+                    if induced_strongly_connected(q, vs):
+                        results.append(contract(q, Subdigraph.induced(q, vs))[0])
+            for res in results:
+                canon = _reference_canonical_form(res)
+                if canon not in seen:
+                    seen.add(canon)
+                    fresh.append(canon)
+        frontier = fresh
+    return frozenset(seen)
+
+
+class TestEncodedClosure:
+    """closure_oracle and canonical_form, which run on (n, sorted edges)
+    tuples, against copies of the Digraph-valued code they replaced."""
+
+    def test_every_semi_complete_digraph_up_to_4_vertices(self):
+        # all_semi_complete includes every tournament.  Both searches start
+        # from the canonical form, which is compared on every labelling, so
+        # the closures are compared once per isomorphism class.
+        closures = {}
+        for n in range(1, 5):
+            for g in all_semi_complete(n):
+                form = canonical_form(g)
+                assert form.edges == _reference_canonical_form(g).edges, g
+                if form not in closures:
+                    closures[form] = closure_oracle(g)
+                    assert closures[form] == _reference_closure(g), g
+        assert len(closures) == 1 + 2 + 7 + 42
+
+    def test_seeded_multi_digraphs(self):
+        rng = random.Random("encoded-closure")
+        loops = parallel = 0
+        for _ in range(60):
+            g = _random_multidigraph(rng, rng.randint(1, 5), rng.randint(0, 8))
+            loops += any(t == h for t, h in g.edges)
+            parallel += len(set(g.edges)) < len(g.edges)
+            assert closure_oracle(g) == _reference_closure(g), g
+        assert loops and parallel
+
+    def test_canonical_form_of_seeded_multi_digraphs(self):
+        rng = random.Random("encoded-canonical-form")
+        for _ in range(600):
+            g = _random_multidigraph(rng, rng.randint(1, 6), rng.randint(0, 12))
+            assert canonical_form(g).edges == _reference_canonical_form(g).edges, g
 
 
 class TestMinorMonotonicity:
