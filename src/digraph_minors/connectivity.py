@@ -78,9 +78,6 @@ class PathSystem:
     def __len__(self) -> int:
         return len(self.paths)
 
-    def vertices(self) -> frozenset[int]:
-        return frozenset(v for p in self.paths for v in p)
-
 
 def is_valid_path_system(g: Digraph, ps: PathSystem) -> bool:
     seen: set[int] = set()

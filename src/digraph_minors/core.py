@@ -55,10 +55,6 @@ class Digraph:
         object.__setattr__(self, "in_mask", tuple(inn))
         object.__setattr__(self, "multiplicity", mult)
 
-    @property
-    def edge_count(self) -> int:
-        return len(self.edges)
-
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.out_mask[u] >> v & 1)
 
@@ -67,9 +63,6 @@ class Digraph:
         lines = [f"{self.vertex_count} {len(self.edges)}"]
         lines.extend(f"{t} {h}" for t, h in sorted(self.edges))
         return "\n".join(lines) + "\n"
-
-    def canonical_edges(self) -> tuple[tuple[int, int], ...]:
-        return tuple(sorted(self.edges))
 
 
 def parse_digraph(text: str) -> Digraph:
@@ -143,56 +136,23 @@ def scc_decompose(g: Digraph) -> tuple[frozenset[int], ...]:
     """Strongly connected components in topological order of the condensation.
 
     Every edge between two distinct components goes from an earlier component
-    to a later one.  Iterative Tarjan, so deep graphs cannot blow the stack.
+    to a later one.  The component of the lowest vertex v not yet placed is
+    v's forward reach intersected with its backward reach inside the vertices
+    left.  Components are ordered by descending forward reach in g, then by
+    lowest vertex: a component that reaches another reaches strictly more
+    vertices.
     """
-    n = g.vertex_count
-    index = [-1] * n
-    low = [0] * n
-    on_stack = [False] * n
-    stack: list[int] = []
-    comps: list[frozenset[int]] = []
-    counter = 0
-    outs = [_bits(m) for m in g.out_mask]
-
-    for root in range(n):
-        if index[root] != -1:
-            continue
-        work: list[tuple[int, int]] = [(root, 0)]
-        while work:
-            v, pi = work[-1]
-            if pi == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            advanced = False
-            while pi < len(outs[v]):
-                w = outs[v][pi]
-                pi += 1
-                if index[w] == -1:
-                    work[-1] = (v, pi)
-                    work.append((w, 0))
-                    advanced = True
-                    break
-                if on_stack[w]:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if low[v] == index[v]:
-                comp = set()
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.add(w)
-                    if w == v:
-                        break
-                comps.append(frozenset(comp))
-            if work:
-                u, _ = work[-1]
-                low[u] = min(low[u], low[v])
-    comps.reverse()  # Tarjan emits sinks first
-    return tuple(comps)
+    out, inn = g.out_mask, g.in_mask
+    full = left = (1 << g.vertex_count) - 1
+    keyed = []
+    while left:
+        low = left & -left
+        forward = _reach(out, low, full)
+        comp = forward & _reach(inn, low, left)
+        left &= ~comp
+        keyed.append((-forward.bit_count(), low, comp))
+    keyed.sort()
+    return tuple(frozenset(_bits(comp)) for _, _, comp in keyed)
 
 
 def _bits(mask: int) -> list[int]:
@@ -205,21 +165,22 @@ def _bits(mask: int) -> list[int]:
     return vs
 
 
-def _reaches_all(adj, mask: int) -> bool:
-    """True iff every vertex of the non-empty bitmask `mask` is reachable from
-    its lowest vertex along the adjacency masks `adj` without leaving `mask`."""
-    seen = todo = mask & -mask
+def _reach(adj, start: int, mask: int) -> int:
+    """Bitmask of the vertices reachable from the vertex bitmask `start`, a
+    subset of `mask`, along the adjacency masks `adj` without leaving `mask`."""
+    seen = todo = start
     while todo:
         v = (todo & -todo).bit_length() - 1
         todo &= todo - 1
         fresh = adj[v] & mask & ~seen
         seen |= fresh
         todo |= fresh
-    return seen == mask
+    return seen
 
 
 def _strongly_connected(out, inn, mask: int) -> bool:
-    return bool(mask) and _reaches_all(out, mask) and _reaches_all(inn, mask)
+    low = mask & -mask
+    return bool(mask) and _reach(out, low, mask) == mask and _reach(inn, low, mask) == mask
 
 
 def _edges_strongly_connected(edges, mask: int) -> bool:

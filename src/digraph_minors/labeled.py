@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property
 
 from .core import (
     Digraph,
@@ -95,12 +94,12 @@ class QmkDigraph:
     m: int
     k: int
 
-    @cached_property
+    @property
     def source_roots(self) -> tuple[int, ...]:
         first = self.p.first
         return tuple(next(v for v in path if v in first) for path in self.r_paths)
 
-    @cached_property
+    @property
     def terminal_roots(self) -> tuple[int, ...]:
         last = self.p.last
         return tuple(next(v for v in path if v in last) for path in self.r_paths)
@@ -206,37 +205,26 @@ def _validate_qmk(d: QmkDigraph) -> None:
             raise ValueError(f"rooted path {path} meets an end bag more than once")
 
 
-def classify_qmk(d: QmkDigraph, link_check: bool = True) -> DClass:
+def classify_qmk(d: QmkDigraph) -> DClass:
+    """Classify d.  A split's tail is non-decomposable only at the last
+    interior minimum bag, so a contractible, non-trivial d is a link iff it
+    is non-decomposable or its head up to that bag is non-contractible."""
     bags = d.p.bags
     r = len(bags)
     trivial = r == 1
-    decomposable = any(len(bags[s]) == d.m for s in range(1, r - 1))
+    cuts = [s for s in range(1, r - 1) if len(bags[s]) == d.m]
     contractible = all(
         induced_strongly_connected(d.g, set(path)) for path in d.r_paths
     )
-    nd = (not trivial) and (not decomposable)
-    nc = not contractible
-    link = False
-    if link_check and contractible and not trivial:
-        if nd:
-            link = True
-        else:
-            for s in range(1, r - 1):
-                if len(bags[s]) != d.m:
-                    continue
-                head = restrict_window(d, 0, s, validate=False)
-                tail = restrict_window(d, s, r - 1, validate=False)
-                head_cls = classify_qmk(head, link_check=False)
-                tail_cls = classify_qmk(tail, link_check=False)
-                if head_cls.non_contractible_member and tail_cls.non_decomposable_member:
-                    link = True
-                    break
+    link = contractible and not trivial and (
+        not cuts or not _window_contractible(d, 0, cuts[-1])
+    )
     return DClass(
         trivial=trivial,
         contractible=contractible,
-        decomposable=decomposable,
-        non_decomposable_member=nd,
-        non_contractible_member=nc,
+        decomposable=bool(cuts),
+        non_decomposable_member=not trivial and not cuts,
+        non_contractible_member=not contractible,
         link=link,
     )
 
@@ -264,7 +252,7 @@ def window_vertices(d: QmkDigraph, lo: int, hi: int) -> tuple[int, ...]:
     return tuple(sorted(frozenset().union(*d.p.bags[lo : hi + 1])))
 
 
-def restrict_window(d: QmkDigraph, lo: int, hi: int, validate: bool = True) -> QmkDigraph:
+def restrict_window(d: QmkDigraph, lo: int, hi: int) -> QmkDigraph:
     """The (Q, m, k)-digraph induced by bags lo..hi (0-based, inclusive).
 
     Interior endpoints must be minimum-size bags.  Vertices are renumbered by
@@ -292,8 +280,7 @@ def restrict_window(d: QmkDigraph, lo: int, hi: int, validate: bool = True) -> Q
         paths.append(tuple(remap[path[i]] for i in positions))
     labels = tuple(d.labels[v] for v in order)
     out = QmkDigraph(sub_g, PathDecomposition(bags), tuple(paths), labels, d.q, d.m, d.k)
-    if validate:
-        _validate_qmk(out)
+    _validate_qmk(out)
     return out
 
 
@@ -302,8 +289,6 @@ def split_at(d: QmkDigraph, s: int) -> tuple[QmkDigraph, QmkDigraph]:
     r = d.p.r
     if not 0 < s < r - 1:
         raise ValueError("split index must be interior")
-    if len(d.p.bags[s]) != d.m:
-        raise ValueError(f"bag {s} has size {len(d.p.bags[s])}, expected {d.m}")
     return restrict_window(d, 0, s), restrict_window(d, s, r - 1)
 
 
@@ -318,7 +303,7 @@ def _window_contractible(d: QmkDigraph, lo: int, hi: int) -> bool:
 
 def decompose_windows(d: QmkDigraph) -> list[tuple[int, int]]:
     """Bag windows of the link factorization, in d's own bag indices."""
-    cls = classify_qmk(d, link_check=False)
+    cls = classify_qmk(d)
     if cls.trivial:
         raise ValueError("cannot decompose a trivial instance")
     r = d.p.r
@@ -348,7 +333,7 @@ def lift_nondecomposable(d: QmkDigraph) -> QmkDigraph:
     """Strip the two outer bags of a non-decomposable instance: the interior
     is a linked decomposition with minimum bag m+1, re-rooted along a fresh
     system of m+1 disjoint induced paths.  Root indices may permute."""
-    cls = classify_qmk(d, link_check=False)
+    cls = classify_qmk(d)
     if not cls.non_decomposable_member:
         raise ValueError("lift requires a non-decomposable instance")
     if d.k <= d.m:

@@ -4,9 +4,13 @@ an independent contraction-closure oracle.
 A minor mapping assigns each pattern vertex a non-null strongly-connected
 branch subdigraph of the host, pairwise vertex-disjoint, and each pattern
 edge a distinct host witness edge running between the right branch sets and
-belonging to no branch edge set.  For loopless patterns, containment can
-equivalently be decided by deleting and contracting, which `closure_oracle`
-does; the two routes are cross-checked in the test suite.
+belonging to no branch edge set.  One backtracking search, `_place`, finds
+them: `find_minor` feeds it the host's strongly connected vertex masks, and
+`find_subdigraph_embedding` the host's single vertices, since a subdigraph
+embedding is a minor mapping whose branch sets are single vertices.  For
+loopless patterns, containment can equivalently be decided by deleting and
+contracting, which `closure_oracle` does; the two routes are cross-checked
+in the test suite.
 
 The closure search and canonical forms run on a compact encoding, (n, edges)
 with `edges` a sorted tuple of (tail, head) pairs, and `_canonical_edges`, the
@@ -25,7 +29,7 @@ from .core import (
     Subdigraph,
     _bits,
     _edges_strongly_connected,
-    _reaches_all,
+    _reach,
     is_semi_complete,
     is_strongly_connected,
 )
@@ -141,8 +145,10 @@ def _strongly_connected_masks(n: int, out, inn) -> list[int]:
     bits = [1 << v for v in range(n)]
     masks = list(bits)
     for size in range(2, n + 1):
-        masks.extend(m for m in map(sum, combinations(bits, size))
-                     if _reaches_all(out, m) and _reaches_all(inn, m))
+        for m in map(sum, combinations(bits, size)):
+            low = m & -m
+            if _reach(out, low, m) == m and _reach(inn, low, m) == m:
+                masks.append(m)
     return masks
 
 
@@ -203,23 +209,14 @@ def _build_mapping(h: Digraph, g: Digraph, classes: list[int]) -> MinorMapping:
     return MinorMapping(tuple(branch_sets), assign_witnesses(h, g, branch_sets))
 
 
-def find_minor(
-    h: Digraph, g: Digraph, budget: int | None = None
-) -> MinorMapping | None:
-    """Exhaustive search for a minor mapping of h into g.
-
-    None is a certificate of absence.  `budget` caps the number of branch-set
-    placements tried; exceeding it raises BudgetExceededError.  Pattern
-    vertices are processed by descending degree and branch-set candidates in
-    ascending (size, ids) order, so the first mapping found is deterministic.
-    """
-    if h.vertex_count == 0:
-        if h.edges:
-            raise AssertionError("edges without vertices")
-        return MinorMapping((), ())
-    if h.vertex_count > g.vertex_count or len(h.edges) > len(g.edges):
-        return None
-
+def _place(h: Digraph, g: Digraph, candidates, budget: int | None = None) -> list[int] | None:
+    """The one backtracking search behind `find_minor` and
+    `find_subdigraph_embedding`: a branch set for each vertex of h from
+    `candidates`, (mask, size, out-neighbour union, in-neighbour union)
+    tuples in ascending size, pairwise disjoint and with enough host edges
+    for every pattern edge and loop.  Returns the chosen masks by pattern
+    vertex, or None after exhaustive search; order and budget are as
+    `find_minor` documents."""
     mult = h.multiplicity
     loops = [mult.get((v, v), 0) for v in range(h.vertex_count)]
     degree = [0] * h.vertex_count
@@ -232,10 +229,6 @@ def find_minor(
     joins = [[(qv, mult.get((pv, qv), 0), mult.get((qv, pv), 0))
               for qv in order[:pos] if (pv, qv) in mult or (qv, pv) in mult]
              for pos, pv in enumerate(order)]
-    # (mask, size, out-neighbour union, in-neighbour union); size ascends
-    candidates = [(m, m.bit_count(), _neighbour_union(g.out_mask, m),
-                   _neighbour_union(g.in_mask, m))
-                  for m in _strongly_connected_masks(g.vertex_count, g.out_mask, g.in_mask)]
 
     spare_cache: dict[int, int] = {}
 
@@ -279,7 +272,31 @@ def find_minor(
                     return True
         return False
 
-    if not backtrack(0, 0):
+    return chosen if backtrack(0, 0) else None
+
+
+def find_minor(
+    h: Digraph, g: Digraph, budget: int | None = None
+) -> MinorMapping | None:
+    """Exhaustive search for a minor mapping of h into g.
+
+    None is a certificate of absence.  `budget` caps the number of branch-set
+    placements tried; exceeding it raises BudgetExceededError.  Pattern
+    vertices are processed by descending degree and branch-set candidates in
+    ascending (size, ids) order, so the first mapping found is deterministic.
+    """
+    if h.vertex_count == 0:
+        if h.edges:
+            raise AssertionError("edges without vertices")
+        return MinorMapping((), ())
+    if h.vertex_count > g.vertex_count or len(h.edges) > len(g.edges):
+        return None
+    # (mask, size, out-neighbour union, in-neighbour union); size ascends
+    candidates = [(m, m.bit_count(), _neighbour_union(g.out_mask, m),
+                   _neighbour_union(g.in_mask, m))
+                  for m in _strongly_connected_masks(g.vertex_count, g.out_mask, g.in_mask)]
+    chosen = _place(h, g, candidates, budget)
+    if chosen is None:
         return None
     mapping = _build_mapping(h, g, chosen)
     report = verify_mapping(h, g, mapping)
@@ -515,52 +532,8 @@ def closure_oracle(g: Digraph) -> frozenset[Digraph]:
 
 def find_subdigraph_embedding(h: Digraph, g: Digraph) -> tuple[int, ...] | None:
     """Injective vertex map sending h onto a subdigraph of g (respecting edge
-    multiplicities), or None after exhaustive backtracking."""
-    if h.vertex_count > g.vertex_count:
-        return None
-    h_mult = h.multiplicity
-    g_mult = g.multiplicity
-    h_out = [0] * h.vertex_count
-    h_in = [0] * h.vertex_count
-    for t, hd in h.edges:
-        h_out[t] += 1
-        h_in[hd] += 1
-    g_out = [0] * g.vertex_count
-    g_in = [0] * g.vertex_count
-    for t, hd in g.edges:
-        g_out[t] += 1
-        g_in[hd] += 1
-    order = sorted(range(h.vertex_count), key=lambda v: (-(h_out[v] + h_in[v]), v))
-    image = [-1] * h.vertex_count
-    used = [False] * g.vertex_count
-
-    def compatible(pv: int, gv: int) -> bool:
-        if g_out[gv] < h_out[pv] or g_in[gv] < h_in[pv]:
-            return False
-        if h_mult.get((pv, pv), 0) > g_mult.get((gv, gv), 0):
-            return False
-        for qv in order:
-            if image[qv] == -1 or qv == pv:
-                continue
-            if h_mult.get((pv, qv), 0) > g_mult.get((gv, image[qv]), 0):
-                return False
-            if h_mult.get((qv, pv), 0) > g_mult.get((image[qv], gv), 0):
-                return False
-        return True
-
-    def backtrack(pos: int) -> bool:
-        if pos == len(order):
-            return True
-        pv = order[pos]
-        for gv in range(g.vertex_count):
-            if used[gv] or not compatible(pv, gv):
-                continue
-            image[pv] = gv
-            used[gv] = True
-            if backtrack(pos + 1):
-                return True
-            image[pv] = -1
-            used[gv] = False
-        return False
-
-    return tuple(image) if backtrack(0) else None
+    multiplicities), or None after exhaustive search: `find_minor`'s
+    placement search with single-vertex branch sets."""
+    singles = [(1 << v, 1, g.out_mask[v], g.in_mask[v]) for v in range(g.vertex_count)]
+    chosen = _place(h, g, singles)
+    return None if chosen is None else tuple(m.bit_length() - 1 for m in chosen)

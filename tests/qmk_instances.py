@@ -38,11 +38,11 @@ def lifted_instances(d, depth):
     if depth == 0:
         return [d]
     out = []
-    cls = classify_qmk(d, link_check=False)
+    cls = classify_qmk(d)
     if cls.trivial:
         return out
     for factor in decompose_links(d):
-        fc = classify_qmk(factor, link_check=False)
+        fc = classify_qmk(factor)
         if fc.non_decomposable_member and factor.k > factor.m:
             lifted = lift_nondecomposable(factor)
             out.append(lifted)

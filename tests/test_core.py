@@ -77,7 +77,7 @@ class TestDigraph:
 
     @given(small_digraphs(loops=True))
     def test_round_trip_identity(self, g):
-        assert parse_digraph(g.to_text()) == Digraph(g.vertex_count, g.canonical_edges())
+        assert parse_digraph(g.to_text()) == Digraph(g.vertex_count, tuple(sorted(g.edges)))
 
 
 class TestScc:
@@ -98,6 +98,21 @@ class TestScc:
         # independent reachability check
         for v in range(10):
             assert reachable(g, v) == set(range(10))
+
+    def test_tie_between_two_cycles_goes_to_lowest_vertex(self):
+        # equal forward reach, so the component holding vertex 0 comes first
+        g = Digraph(4, ((0, 2), (2, 0), (1, 3), (3, 1)))
+        assert scc_decompose(g) == (frozenset({0, 2}), frozenset({1, 3}))
+
+    def test_two_sinks_after_their_sources(self):
+        # forward reaches 4, 3, 1, 1: descending reach, then lowest vertex
+        g = Digraph(4, ((2, 1), (1, 0), (1, 3)))
+        assert scc_decompose(g) == (
+            frozenset({2}),
+            frozenset({1}),
+            frozenset({0}),
+            frozenset({3}),
+        )
 
     @given(small_digraphs())
     def test_partition_and_component_structure(self, g):

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from digraph_minors.core import Digraph, gen_random_tournament
+from digraph_minors.core import Digraph, gen_random_tournament, induced_strongly_connected
 from digraph_minors.pathdecomp import PathDecomposition
 from digraph_minors.minor import MinorMapping, identity_mapping
 from digraph_minors.labeled import (
@@ -20,6 +20,7 @@ from digraph_minors.labeled import (
     make_qmk,
     noncontractible_pair,
     peel_noncontractible,
+    restrict_window,
     split_at,
     trivial_order,
     verify_labeled_minor,
@@ -147,6 +148,53 @@ class TestSplit:
         big = next(i for i in range(1, d.p.r - 1) if len(d.p.bags[i]) != d.m)
         with pytest.raises(ValueError):
             split_at(d, big)
+
+
+def recursive_link(d):
+    """The link definition read literally: a contractible, non-trivial
+    instance that is non-decomposable, or that splits at some interior
+    minimum bag into a non-contractible head and a non-decomposable tail."""
+
+    def contractible(x):
+        return all(induced_strongly_connected(x.g, set(path)) for path in x.r_paths)
+
+    def non_decomposable(x):
+        return x.p.r > 1 and all(len(bag) != x.m for bag in x.p.bags[1:-1])
+
+    r = d.p.r
+    if r == 1 or not contractible(d):
+        return False
+    if non_decomposable(d):
+        return True
+    return any(
+        not contractible(restrict_window(d, 0, s))
+        and non_decomposable(restrict_window(d, s, r - 1))
+        for s in range(1, r - 1)
+        if len(d.p.bags[s]) == d.m
+    )
+
+
+class TestLinkFlag:
+    def test_matches_recursive_definition(self):
+        pools = instance_pool(60, 9, seed=5) + instance_pool(
+            60, 9, seed=909, max_m=2, max_k=4, order=THREE_CHAIN
+        )
+        seen = set()
+        for d, cls in pools:
+            # d, its link factors, and its windows between minimum bags
+            instances = [d]
+            if not cls.trivial:
+                instances += decompose_links(d)
+            r = d.p.r
+            ends = [0] + [s for s in range(1, r - 1) if len(d.p.bags[s]) == d.m] + [r - 1]
+            instances += [restrict_window(d, lo, hi)
+                          for i, lo in enumerate(ends) for hi in ends[i + 1:]]
+            for x in instances:
+                xcls = classify_qmk(x)
+                assert xcls.link == recursive_link(x)
+                if xcls.decomposable:
+                    seen.add(xcls.link)
+        assert seen == {True, False}
 
 
 class TestDecomposeLinks:
@@ -368,7 +416,7 @@ class TestPipeline:
                 nxt = []
                 for cur in stack:
                     for factor in decompose_links(cur):
-                        fcls = classify_qmk(factor, link_check=False)
+                        fcls = classify_qmk(factor)
                         if fcls.non_contractible_member:
                             peeled = peel_noncontractible(factor)
                             assert (peeled.m, peeled.k) == (factor.m - 1, factor.k - 1)
@@ -377,7 +425,7 @@ class TestPipeline:
                             lifted = lift_nondecomposable(factor)
                             assert lifted.m == factor.m + 1
                             lifted_count += 1
-                            if not classify_qmk(lifted, link_check=False).trivial:
+                            if not classify_qmk(lifted).trivial:
                                 nxt.append(lifted)
                 stack = nxt
         assert lifted_count >= 5 and peeled_count >= 1
@@ -454,7 +502,7 @@ class TestHigman:
 def test_qmk_json_round_trip():
     d, _ = base_instance(5, seed=13, order=THREE_CHAIN, label_seed=1)
     again = QmkDigraph.from_json(d.to_json())
-    assert again.g.canonical_edges() == d.g.canonical_edges()
+    assert sorted(again.g.edges) == sorted(d.g.edges)
     assert again.p == d.p
     assert again.r_paths == d.r_paths
     assert again.labels == d.labels

@@ -597,6 +597,30 @@ class TestSubdigraphEmbedding:
         emb = find_subdigraph_embedding(doubled, host)
         assert emb == (0, 1)
 
+    def test_agrees_with_brute_force_on_multi_digraphs(self):
+        def multi(rng, n, m):
+            return Digraph(n, tuple((rng.randrange(n), rng.randrange(n)) for _ in range(m if n else 0)))
+
+        def respects(h, g, image):
+            return all(g.multiplicity.get((image[t], image[hd]), 0) >= k
+                       for (t, hd), k in h.multiplicity.items())
+
+        rng = random.Random(1206)
+        outcomes = set()
+        for _ in range(500):
+            g = multi(rng, rng.randrange(0, 6), rng.randrange(0, 12))
+            h = multi(rng, rng.randrange(0, 5), rng.randrange(0, 6))
+            brute = any(respects(h, g, image)
+                        for image in itertools.permutations(range(g.vertex_count), h.vertex_count))
+            emb = find_subdigraph_embedding(h, g)
+            assert (emb is not None) == brute
+            if emb is not None:
+                assert len(emb) == h.vertex_count == len(set(emb))
+                assert all(0 <= x < g.vertex_count for x in emb)
+                assert respects(h, g, emb)
+            outcomes.add(brute)
+        assert outcomes == {True, False}
+
 
 def test_mapping_json_round_trip():
     g = gen_random_tournament(4, seed=9)
