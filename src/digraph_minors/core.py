@@ -136,21 +136,60 @@ def scc_decompose(g: Digraph) -> tuple[frozenset[int], ...]:
     """Strongly connected components in topological order of the condensation.
 
     Every edge between two distinct components goes from an earlier component
-    to a later one.  The component of the lowest vertex v not yet placed is
-    v's forward reach intersected with its backward reach inside the vertices
-    left.  Components are ordered by descending forward reach in g, then by
-    lowest vertex: a component that reaches another reaches strictly more
-    vertices.
+    to a later one.  Components are ordered by descending forward reach in g,
+    then by lowest vertex: a component that reaches another reaches strictly
+    more vertices.  One iterative Tarjan pass, with roots and out-neighbours
+    taken in ascending order, emits the components sinks first, so each
+    component's forward reach is its own mask OR its successors' reaches.
     """
-    out, inn = g.out_mask, g.in_mask
-    full = left = (1 << g.vertex_count) - 1
+    out = g.out_mask
+    n = g.vertex_count
+    index = [-1] * n  # discovery number; -1 until discovered
+    low = [0] * n
+    comp_of = [-1] * n  # -1 until the vertex's component is emitted
+    stack: list[int] = []
+    reaches: list[int] = []  # forward reach of each emitted component
     keyed = []
-    while left:
-        low = left & -left
-        forward = _reach(out, low, full)
-        comp = forward & _reach(inn, low, left)
-        left &= ~comp
-        keyed.append((-forward.bit_count(), low, comp))
+    count = 0
+    for root in range(n):
+        if index[root] >= 0:
+            continue
+        index[root] = low[root] = count
+        count += 1
+        stack.append(root)
+        work = [(root, iter(_bits(out[root])))]
+        while work:
+            v, succ = work[-1]
+            for w in succ:
+                if index[w] < 0:
+                    index[w] = low[w] = count
+                    count += 1
+                    stack.append(w)
+                    work.append((w, iter(_bits(out[w]))))
+                    break
+                if comp_of[w] < 0 and index[w] < low[v]:
+                    low[v] = index[w]
+            else:
+                work.pop()
+                if work and low[v] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[v]
+                if low[v] == index[v]:
+                    c = len(reaches)
+                    comp = heads = 0
+                    while True:
+                        w = stack.pop()
+                        comp_of[w] = c
+                        comp |= 1 << w
+                        heads |= out[w]
+                        if w == v:
+                            break
+                    reach = comp
+                    rest = heads & ~reach
+                    while rest:
+                        reach |= reaches[comp_of[(rest & -rest).bit_length() - 1]]
+                        rest &= ~reach
+                    reaches.append(reach)
+                    keyed.append((-reach.bit_count(), comp & -comp, comp))
     keyed.sort()
     return tuple(frozenset(_bits(comp)) for _, _, comp in keyed)
 

@@ -303,10 +303,9 @@ def _window_contractible(d: QmkDigraph, lo: int, hi: int) -> bool:
 
 def decompose_windows(d: QmkDigraph) -> list[tuple[int, int]]:
     """Bag windows of the link factorization, in d's own bag indices."""
-    cls = classify_qmk(d)
-    if cls.trivial:
-        raise ValueError("cannot decompose a trivial instance")
     r = d.p.r
+    if r == 1:
+        raise ValueError("cannot decompose a trivial instance")
     windows: list[tuple[int, int]] = []
     cur = 0
     while True:
@@ -333,12 +332,11 @@ def lift_nondecomposable(d: QmkDigraph) -> QmkDigraph:
     """Strip the two outer bags of a non-decomposable instance: the interior
     is a linked decomposition with minimum bag m+1, re-rooted along a fresh
     system of m+1 disjoint induced paths.  Root indices may permute."""
-    cls = classify_qmk(d)
-    if not cls.non_decomposable_member:
+    bags = d.p.bags[1:-1]
+    if d.p.r == 1 or any(len(bag) == d.m for bag in bags):
         raise ValueError("lift requires a non-decomposable instance")
     if d.k <= d.m:
         raise ValueError("lift needs k > m")
-    bags = d.p.bags[1:-1]
     p2 = PathDecomposition(bags)
     paths = minimal_union_paths(d.g, bags[0], bags[-1], d.m + 1)
     out = QmkDigraph(d.g, p2, paths.paths, d.labels, d.q, d.m + 1, d.k)

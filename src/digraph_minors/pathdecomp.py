@@ -32,7 +32,7 @@ from .connectivity import (
 )
 
 # exact_pathwidth fills two tables of 2^n entries, 5 bytes each: a random 20-vertex
-# tournament takes about 2.5 s and 24 MB peak RSS, and each further vertex doubles both.
+# tournament takes about 0.5 s and 24 MB peak RSS, and each further vertex doubles both.
 PATHWIDTH_MAX_VERTICES = 20
 
 
@@ -160,18 +160,49 @@ def _vertex_intervals(p: PathDecomposition):
 
 def _linked_violation(g: Digraph, bags) -> tuple[int, int, int] | None:
     """First (smallest h, then smallest j) window [h, j] whose minimum bag
-    size t is not certified by t vertex-disjoint W_h -> W_j paths.
+    size t is not certified by t vertex-disjoint W_h -> W_j paths, or None.
 
-    The bags must form a valid decomposition.  Then every W_h -> W_j' path
-    meets every W_j with h <= j <= j': along the path the largest last(x)
-    seen so far grows only through an edge u -> v, where first(v) <= last(u),
-    so the intervals of the path's vertices cover [h, j'].  Cutting each path
-    at its first vertex in W_j shows that kappa(h, j), the most disjoint
-    W_h -> W_j paths, is non-increasing in j, and so is t.  Within a run of
-    constant t the failing j therefore form a suffix: test the run's last j,
-    and on failure binary-search the run for its first failing j.  Each flow
-    stops after t paths.
+    The bags must form a valid decomposition.  Then every W_h -> W_j path
+    meets every W_i with h <= i <= j: along the path the largest last(x) seen
+    so far grows only through an edge u -> v, where first(v) <= last(u), so
+    the intervals of the path's vertices cover [h, j].  Cut at its first
+    vertex in W_i, such a path keeps only vertices x with last(x) < i before
+    it; mirrored, cut at its last vertex in W_i, it keeps only vertices with
+    first(x) > i after it.  So kappa(h, j), the most disjoint W_h -> W_j
+    paths, can only fall as h moves down or j moves up.
+
+    Acceptance: let bag i attain the minimum t = |W_i| of [h, j].  Cut as
+    above, t disjoint W_h -> W_i paths and t disjoint W_i -> W_j paths each
+    meet all of W_i and nothing else in common, so they join into t disjoint
+    W_h -> W_j paths.  With [L, R] the widest window around i whose bags all
+    have at least t vertices, the decomposition is therefore linked iff
+    kappa(L, i) >= t and kappa(i, R) >= t for every i with t > 0: at most 2r
+    flows, each stopped after t paths, and none where the two bags share t
+    vertices.  Only when a check fails does _first_violation locate the
+    window to report.
     """
+    sizes = [len(bag) for bag in bags]
+    r = len(bags)
+    for i, t in enumerate(sizes):
+        if t == 0:
+            continue
+        lo = hi = i
+        while lo > 0 and sizes[lo - 1] >= t:
+            lo -= 1
+        while hi + 1 < r and sizes[hi + 1] >= t:
+            hi += 1
+        for a, b in ((bags[lo], bags[i]), (bags[i], bags[hi])):
+            if len(a & b) < t and len(_max_flow(g, a, b, limit=t)[0]) < t:
+                return _first_violation(g, bags)
+    return None
+
+
+def _first_violation(g: Digraph, bags) -> tuple[int, int, int] | None:
+    """_linked_violation's window, searched window by window: for each h,
+    kappa(h, j) and the minimum t are non-increasing in j, so within a run of
+    constant t the failing j form a suffix.  Test the run's last j, and on
+    failure binary-search the run for its first failing j.  Each flow stops
+    after t paths."""
 
     def short(j):
         return len(_max_flow(g, bags[h], bags[j], limit=t)[0]) < t
@@ -321,16 +352,21 @@ def exact_pathwidth(g: Digraph) -> tuple[int, PathDecomposition]:
     # cost[T] = max(g(T), |B(T)|), the cost of introducing one more vertex after T
     cost = bytearray(full + 1)
     for mask in range(1, full + 1):
+        # cost[mask] = max(min over v of cost[mask - v], size): the first
+        # cost[mask - v] <= size settles it at size
+        size = (mask & into[full ^ mask]).bit_count()
         least = n
         rest = mask
         while rest:
             low = rest & -rest
             rest ^= low
             c = cost[mask ^ low]
+            if c <= size:
+                least = size
+                break
             if c < least:
                 least = c
-        size = (mask & into[full ^ mask]).bit_count()
-        cost[mask] = least if least > size else size
+        cost[mask] = least
 
     # walk back from the full set, removing the lowest v that attains g(mask)
     order = []

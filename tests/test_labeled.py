@@ -5,6 +5,7 @@ import pytest
 
 from digraph_minors.core import Digraph, gen_random_tournament, induced_strongly_connected
 from digraph_minors.pathdecomp import PathDecomposition
+from digraph_minors import labeled
 from digraph_minors.minor import MinorMapping, identity_mapping
 from digraph_minors.labeled import (
     QmkDigraph,
@@ -270,6 +271,48 @@ class TestLift:
         d, _ = pool[0]
         with pytest.raises(ValueError):
             lift_nondecomposable(d)
+
+
+class TestRefusalsWithoutClassifying:
+    """decompose_windows and lift_nondecomposable read the shape of the
+    decomposition and never classify the instance."""
+
+    @staticmethod
+    def forbid_classify(monkeypatch):
+        def refuse(d):
+            raise AssertionError("classify_qmk called")
+
+        monkeypatch.setattr(labeled, "classify_qmk", refuse)
+
+    @staticmethod
+    def trivial():
+        g = Digraph(1, ())
+        return QmkDigraph(
+            g, PathDecomposition((frozenset({0}),)), ((0,),), (0,), trivial_order(), 1, 1
+        )
+
+    def test_decompose_refuses_a_trivial_instance(self, monkeypatch):
+        d = self.trivial()
+        self.forbid_classify(monkeypatch)
+        with pytest.raises(ValueError, match="cannot decompose a trivial instance"):
+            decompose_windows(d)
+
+    def test_lift_refuses_trivial_and_decomposable_instances(self, monkeypatch):
+        pool = instance_pool(3, 8, seed=31, require=lambda d, c: c.decomposable)
+        self.forbid_classify(monkeypatch)
+        for d in [self.trivial(), *(d for d, _ in pool)]:
+            with pytest.raises(ValueError, match="lift requires a non-decomposable instance"):
+                lift_nondecomposable(d)
+
+    def test_accepts_non_decomposable_instances(self, monkeypatch):
+        pool = instance_pool(
+            4, 9, seed=29, require=lambda d, c: c.non_decomposable_member and d.k > d.m
+        )
+        self.forbid_classify(monkeypatch)
+        for d, cls in pool:
+            assert lift_nondecomposable(d).m == d.m + 1
+            if cls.contractible:
+                assert decompose_windows(d) == [(0, d.p.r - 1)]
 
 
 class TestPeel:

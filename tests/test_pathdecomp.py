@@ -16,6 +16,7 @@ from digraph_minors.core import (
     gen_transitive,
     induced_strongly_connected,
     is_acyclic,
+    is_semi_complete,
 )
 from digraph_minors.connectivity import (
     PathSystem,
@@ -23,6 +24,7 @@ from digraph_minors.connectivity import (
     is_valid_path_system,
     max_disjoint_paths,
 )
+from digraph_minors import pathdecomp
 from digraph_minors.pathdecomp import (
     LexMeasure,
     PathDecomposition,
@@ -398,6 +400,45 @@ def full_scan_linked_violation(g, bags):
     return None
 
 
+def widened(p, rng):
+    """p with each vertex's interval of bags stretched by a random amount at
+    either end: still a valid decomposition of the same digraph."""
+    first, last = {}, {}
+    for i, bag in enumerate(p.bags):
+        for v in bag:
+            first.setdefault(v, i)
+            last[v] = i
+    r = p.r
+    seq = [set() for _ in range(r)]
+    for v in first:
+        lo = max(0, first[v] - rng.randrange(3))
+        hi = min(r - 1, last[v] + rng.randrange(3))
+        for i in range(lo, hi + 1):
+            seq[i].add(v)
+    return PathDecomposition(tuple(frozenset(b) for b in seq))
+
+
+def linked_check_cases(count, seed):
+    """Valid decompositions of semi-complete and sparser general digraphs:
+    random introduction orders, their linked repairs where build_linked
+    applies, and both with randomly widened vertex intervals."""
+    rng = random.Random(seed)
+    for i in range(count):
+        n = rng.randrange(1, 10)
+        if i % 2:
+            g = random_semi_complete(n, rng)
+        else:
+            g = gen_random_digraph(n, rng.randrange(1 << 30), rng.choice((0.2, 0.4)))
+        p = random_order_decomposition(g, rng)
+        if rng.random() < 0.5:
+            p = normalize(g, p)
+        yield g, p
+        if i % 2:
+            p = build_linked(g, p, frozenset(), frozenset())
+            yield g, p
+        yield g, widened(p, rng)
+
+
 class TestLinkedViolation:
     def test_matches_the_full_scan(self):
         rng = random.Random(5)
@@ -421,6 +462,33 @@ class TestLinkedViolation:
                 assert _linked_violation(g, q.bags) == expected
                 outcomes.add(expected is None)
         assert outcomes == {True, False}
+
+    def test_matches_the_full_scan_on_general_digraphs(self):
+        # (semi-complete, linked) -> number of decompositions
+        outcomes = dict.fromkeys(itertools.product((True, False), repeat=2), 0)
+        for g, p in linked_check_cases(600, seed=23):
+            assert verify(g, p).valid
+            expected = full_scan_linked_violation(g, p.bags)
+            assert _linked_violation(g, p.bags) == expected
+            outcomes[is_semi_complete(g), expected is None] += 1
+        assert min(outcomes.values()) >= 100
+
+    def test_at_most_two_flows_per_bag_on_linked_decompositions(self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs.get("limit"))
+            return _max_flow(*args, **kwargs)
+
+        monkeypatch.setattr(pathdecomp, "_max_flow", counted)
+        passes = 0
+        for g, p in linked_check_cases(80, seed=29):
+            calls.clear()
+            if _linked_violation(g, p.bags) is None:
+                passes += 1
+                assert len(calls) <= 2 * p.r
+                assert all(limit is not None for limit in calls)
+        assert passes >= 40
 
 
 def flow_cases():
