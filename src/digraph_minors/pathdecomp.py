@@ -14,7 +14,6 @@ between prescribed end bags.
 from __future__ import annotations
 
 import json
-from array import array
 from dataclasses import dataclass
 
 from .core import (
@@ -31,8 +30,9 @@ from .connectivity import (
     minimal_union_paths,
 )
 
-# exact_pathwidth fills two tables of 2^n entries, 5 bytes each: a random 20-vertex
-# tournament takes about 0.5 s and 24 MB peak RSS, and each further vertex doubles both.
+# exact_pathwidth keeps about n + w + 10 sets of introduction sets, 2^n bits each:
+# a random 20-vertex tournament takes about 0.06 s and the complete symmetric one
+# (width 19) about 0.1 s, and each further vertex doubles the size of every set.
 PATHWIDTH_MAX_VERTICES = 20
 
 
@@ -332,7 +332,13 @@ def exact_pathwidth(g: Digraph) -> tuple[int, PathDecomposition]:
     Dynamic programming over introduction sets: with B(T) = set of vertices in
     T that still have an out-neighbour outside T, the cheapest order obeys
     g(T) = min over v in T of max(g(T - v), |B(T - v)|), since a vertex can be
-    forgotten as soon as all its out-neighbours have been introduced.  The
+    forgotten as soon as all its out-neighbours have been introduced.  So
+    cost(T) = max(g(T), |B(T)|) is at most c iff some order introduces T one
+    vertex at a time through sets with |B| <= c.  The DP holds a set of
+    introduction sets as one int, bit T for T, and so acts on all 2^n of them
+    per operation: it grows the sets with cost <= c for c = 0, 1, ... until
+    the full set is among them, which makes c the width, in O(w n^2) big-int
+    operations.  The walk back removes the lowest vertex of least cost.  The
     null digraph gets the single empty bag and width -1.  Digraphs with more
     than PATHWIDTH_MAX_VERTICES vertices raise ValueError.
     """
@@ -345,34 +351,72 @@ def exact_pathwidth(g: Digraph) -> tuple[int, PathDecomposition]:
         return -1, PathDecomposition((frozenset(),))
     out_mask = g.out_mask
     full = (1 << n) - 1
-    # into[X]: the vertices with an out-neighbour in X, so B(T) = T & into[full ^ T]
-    into = array("I", [0])
-    for m in g.in_mask:
-        into += array("I", map(m.__or__, into))
-    # cost[T] = max(g(T), |B(T)|), the cost of introducing one more vertex after T
-    cost = bytearray(full + 1)
-    for mask in range(1, full + 1):
-        # cost[mask] = max(min over v of cost[mask - v], size): the first
-        # cost[mask - v] <= size settles it at size
-        size = (mask & into[full ^ mask]).bit_count()
-        least = n
-        rest = mask
+    # A set of introduction sets is one int with bit T set for each T in it.
+    every = (1 << (full + 1)) - 1
+    # lacks[v]: the sets without v, runs of 2^v ones and 2^v zeros
+    lacks = []
+    for v in range(n):
+        bits = (1 << (1 << v)) - 1
+        period = 2 << v
+        while period <= full:
+            bits |= bits << period
+            period <<= 1
+        lacks.append(bits)
+    # counter[i]: the sets T whose |B(T)| has bit i set, summed over v of
+    # "T holds v and out(v) is not inside T" by a bit-sliced adder
+    counter = []
+    for v in range(n):
+        carry = 0
+        rest = out_mask[v]
         while rest:
             low = rest & -rest
             rest ^= low
-            c = cost[mask ^ low]
-            if c <= size:
-                least = size
+            carry |= lacks[low.bit_length() - 1]
+        carry &= every ^ lacks[v]
+        for i in range(len(counter)):
+            if not carry:
                 break
-            if c < least:
-                least = c
-        cost[mask] = least
+            counter[i], carry = counter[i] ^ carry, counter[i] & carry
+        if carry:
+            counter.append(carry)
+    # reach[c]: the sets T with cost(T) <= c, as bytes.  It is the closure of
+    # reach[c - 1] under adding a vertex within |B| <= c (c never passes the
+    # largest |B|, so its bits fit the counter), made by sweeps over v,
+    # alternately ascending and descending, until one adds nothing.
+    reach = []
+    found = 1
+    sweep = list(range(n))
+    while not found >> full:
+        c = len(reach)
+        above, equal = 0, every
+        for i in reversed(range(len(counter))):
+            if c >> i & 1:
+                equal &= counter[i]
+            else:
+                above |= equal & counter[i]
+                equal &= ~counter[i]
+        within = every ^ above
+        before = None
+        while found != before:
+            before = found
+            for v in sweep:
+                found |= (found & lacks[v]) << (1 << v) & within
+            sweep.reverse()
+        reach.append(found.to_bytes((full >> 3) + 1, "little"))
+    width = len(reach) - 1
 
-    # walk back from the full set, removing the lowest v that attains g(mask)
+    def cost(mask):
+        for c, table in enumerate(reach):
+            if table[mask >> 3] >> (mask & 7) & 1:
+                return c
+        return width + 1
+
+    # walk back from the full set, removing the lowest v that attains g(mask);
+    # a cost above the width never attains it
     order = []
     mask = full
     while mask:
-        v = min((v for v in range(n) if mask >> v & 1), key=lambda v: cost[mask ^ 1 << v])
+        v = min((v for v in range(n) if mask >> v & 1), key=lambda v: cost(mask ^ 1 << v))
         order.append(v)
         mask ^= 1 << v
     order.reverse()
@@ -389,8 +433,8 @@ def exact_pathwidth(g: Digraph) -> tuple[int, PathDecomposition]:
                 bag.discard(u)
                 bags.append(frozenset(bag))
     decomposition = PathDecomposition(tuple(bags))
-    assert decomposition.width == cost[full]
-    return cost[full], decomposition
+    assert decomposition.width == width
+    return width, decomposition
 
 
 def transform_delete_vertex(g: Digraph, p: PathDecomposition, v: int) -> PathDecomposition:

@@ -1,6 +1,11 @@
+import contextlib
+import io
 import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from digraph_minors.cli import main
 from digraph_minors.core import gen_transitive, parse_digraph
@@ -291,3 +296,62 @@ def test_stdin_dash(capsys, monkeypatch, tmp_path):
     monkeypatch.setattr("sys.stdin", io.StringIO("2 1\n1 0\n"))
     code, out, _ = run(capsys, "pathwidth", "-")
     assert code == 0 and out.strip() == "0"
+
+
+BAD_LINES = ["", "# note", "x", "1", "1 2 3", "- 1", "0 1.5", "0 9", "-1 0", "0 0"]
+BAD_ENTRIES = [-1, 9, True, None, 1.5, "0", [0]]
+
+
+@st.composite
+def fuzz_cases(draw):
+    """A digraph text with a header n <= 8, mostly well-formed loopless edges
+    with at most one malformed, out-of-range or loop line among them and a
+    sometimes wrong edge count, and a decomposition text: bags of vertex ids,
+    bags with out-of-range or non-int entries, or not a decomposition."""
+    n = draw(st.integers(0, 8))
+    vertex = st.integers(0, max(n - 1, 0))
+    edges = draw(st.lists(
+        st.tuples(vertex, st.integers(1, max(n - 1, 1))).map(
+            lambda e: f"{e[0]} {(e[0] + e[1]) % max(n, 1)}"),
+        max_size=12 if n else 0,
+    ))
+    if draw(st.integers(0, 3)) == 3:
+        edges.insert(draw(st.integers(0, len(edges))), draw(st.sampled_from(BAD_LINES)))
+    count = len(edges) + {6: 1, 7: -1}.get(draw(st.integers(0, 7)), 0)
+    graph = "\n".join([f"{n} {count}", *edges]) + "\n"
+    bags = draw(st.one_of(
+        st.lists(st.lists(vertex, max_size=n), max_size=8),
+        st.lists(st.just(list(range(n))), min_size=1, max_size=3),
+        st.lists(st.lists(st.one_of(vertex, st.sampled_from(BAD_ENTRIES)), max_size=4),
+                 max_size=4),
+        st.sampled_from([5, None, "bags", [], [[]]]),
+    ))
+    if draw(st.integers(0, 3)) == 3:
+        return graph, draw(st.sampled_from(["", "{", "null", "[[0]]", '{"bags": [[0], 3]}']))
+    return graph, json.dumps({"bags": bags})
+
+
+def run_quiet(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    errors = [line for line in err.getvalue().splitlines() if line.startswith("error:")]
+    assert code in (0, 1, 2) and len(errors) <= 1, (argv, code, err.getvalue())
+    return code, out.getvalue()
+
+
+@settings(max_examples=120)
+@given(fuzz_cases())
+def test_fuzz_pathwidth_and_verify_decomp(case):
+    graph_text, decomp_text = case
+    with tempfile.TemporaryDirectory() as work:
+        graph, fuzzed, written = (os.path.join(work, name) for name in ("g.txt", "f.json", "d.json"))
+        with open(graph, "w", encoding="utf-8") as fh:
+            fh.write(graph_text)
+        with open(fuzzed, "w", encoding="utf-8") as fh:
+            fh.write(decomp_text)
+        run_quiet(["verify-decomp", graph, fuzzed, "--linked"])
+        code, _ = run_quiet(["pathwidth", graph, "--decomp", written])
+        if code == 0:
+            code, out = run_quiet(["verify-decomp", graph, written, "--linked"])
+            assert code in (0, 1) and json.loads(out)["valid"] is True

@@ -596,3 +596,32 @@ class TestDPTieBreak:
             width = assert_same_dp(g)
             if n <= 6 and i % 3 == 0:
                 assert width == pathwidth_brute_force(g)
+
+    @pytest.mark.parametrize("p", [0.15, 0.6])
+    def test_seeded_multi_digraphs(self, p):
+        # parallel copies of a random third of the edges, up to 12 vertices
+        rng = random.Random(23 if p < 0.5 else 29)
+        for i in range(40):
+            n = 12 if i < 6 else rng.randrange(1, 12)
+            g = gen_random_digraph(n, rng.randrange(1 << 30), p)
+            g = Digraph(n, g.edges + tuple(e for e in g.edges if rng.random() < 1 / 3))
+            assert_same_dp(g)
+
+    @pytest.mark.parametrize("shape, expected", [
+        ("complete_symmetric", 19),
+        ("transitive", 0),
+        ("edgeless", 0),
+        ("cycle", 1),
+    ])
+    def test_shapes_at_the_cap(self, shape, expected):
+        n = pathdecomp.PATHWIDTH_MAX_VERTICES
+        g = {
+            "complete_symmetric": lambda: Digraph(
+                n, tuple((u, v) for u in range(n) for v in range(n) if u != v)),
+            "transitive": lambda: gen_transitive(n),
+            "edgeless": lambda: Digraph(n, ()),
+            "cycle": lambda: gen_cycle(n),
+        }[shape]()
+        width, p = exact_pathwidth(g)
+        assert width == expected == p.max_bag - 1
+        assert verify(g, p).valid
