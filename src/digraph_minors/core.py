@@ -65,8 +65,18 @@ class Digraph:
         return "\n".join(lines) + "\n"
 
 
+# The largest vertex count a digraph text may announce.  `Digraph` allocates
+# per-vertex lists as soon as it is built, so a 10-byte header could
+# otherwise ask for gigabytes; every exact search here is exponential and
+# stops far below this, while the polynomial layers are tested at a few
+# thousand vertices.
+MAX_PARSED_VERTICES = 100_000
+
+
 def parse_digraph(text: str) -> Digraph:
-    """Parse the digraph text format (`#` starts a comment line)."""
+    """Parse the digraph text format (`#` starts a comment line).  A header
+    announcing more than `MAX_PARSED_VERTICES` vertices raises ParseError on
+    its line, before anything is allocated for them."""
     header: tuple[int, int] | None = None
     edges: list[tuple[int, int]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -83,6 +93,10 @@ def parse_digraph(text: str) -> Digraph:
         if header is None:
             if a < 0 or b < 0:
                 raise ParseError("header counts must be non-negative", lineno)
+            if a > MAX_PARSED_VERTICES:
+                raise ParseError(
+                    f"header announces {a} vertices, more than the limit of "
+                    f"{MAX_PARSED_VERTICES}", lineno)
             header = (a, b)
         else:
             if not (0 <= a < header[0] and 0 <= b < header[0]):

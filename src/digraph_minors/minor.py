@@ -5,7 +5,8 @@ A minor mapping assigns each pattern vertex a non-null strongly-connected
 branch subdigraph of the host, pairwise vertex-disjoint, and each pattern
 edge a distinct host witness edge running between the right branch sets and
 belonging to no branch edge set.  One backtracking search, `_place`, finds
-them: `find_minor` feeds it the host's strongly connected vertex masks, and
+them: `find_minor` feeds it the host's strongly connected vertex masks that
+leave a vertex for every other pattern vertex, and
 `find_subdigraph_embedding` the host's single vertices, since a subdigraph
 embedding is a minor mapping whose branch sets are single vertices.  For
 loopless patterns, containment can equivalently be decided by deleting and
@@ -138,13 +139,16 @@ def verify_mapping(h: Digraph, g: Digraph, m: MinorMapping) -> MappingReport:
     return MappingReport(not failures, tuple(failures))
 
 
-def _strongly_connected_masks(n: int, out, inn) -> list[int]:
+def _strongly_connected_masks(n: int, out, inn, max_size: int | None = None) -> list[int]:
     """Vertex bitmasks of all strongly connected induced subdigraphs of the
     digraph on 0..n-1 with adjacency masks `out` and `inn`, in ascending
-    (size, sorted ids) order; the n singletons come first."""
+    (size, sorted ids) order; the n singletons come first.  With `max_size`
+    (at least 1), only the subsets of at most that many vertices are tested,
+    and the list is the uncapped one cut after its last set of that size."""
     bits = [1 << v for v in range(n)]
     masks = list(bits)
-    for size in range(2, n + 1):
+    top = n if max_size is None else min(n, max_size)
+    for size in range(2, top + 1):
         for m in map(sum, combinations(bits, size)):
             low = m & -m
             if _reach(out, low, m) == m and _reach(inn, low, m) == m:
@@ -284,6 +288,9 @@ def find_minor(
     placements tried; exceeding it raises BudgetExceededError.  Pattern
     vertices are processed by descending degree and branch-set candidates in
     ascending (size, ids) order, so the first mapping found is deterministic.
+    The candidates are the host's strongly connected vertex masks of at most
+    |V(g)| - |V(h)| + 1 vertices, the most one branch set can take; they are
+    enumerated before the budget counter starts.
     """
     if h.vertex_count == 0:
         if h.edges:
@@ -291,10 +298,14 @@ def find_minor(
         return MinorMapping((), ())
     if h.vertex_count > g.vertex_count or len(h.edges) > len(g.edges):
         return None
-    # (mask, size, out-neighbour union, in-neighbour union); size ascends
+    # (mask, size, out-neighbour union, in-neighbour union); size ascends.
+    # k disjoint non-null branch sets leave at most n - k + 1 host vertices
+    # to any one of them, which is `_place`'s room at its first position
+    cap = g.vertex_count - h.vertex_count + 1
     candidates = [(m, m.bit_count(), _neighbour_union(g.out_mask, m),
                    _neighbour_union(g.in_mask, m))
-                  for m in _strongly_connected_masks(g.vertex_count, g.out_mask, g.in_mask)]
+                  for m in _strongly_connected_masks(g.vertex_count, g.out_mask,
+                                                     g.in_mask, cap)]
     chosen = _place(h, g, candidates, budget)
     if chosen is None:
         return None

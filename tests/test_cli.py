@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from digraph_minors.cli import main
-from digraph_minors.core import gen_transitive, parse_digraph
+from digraph_minors.core import MAX_PARSED_VERTICES, gen_transitive, parse_digraph
+from digraph_minors.minor import MinorMapping, verify_mapping
 from digraph_minors.pathdecomp import PATHWIDTH_MAX_VERTICES, PathDecomposition
 
 
@@ -175,6 +176,23 @@ class TestMinor:
         assert code == 3 and "error" in err
 
 
+class TestHugeHeader:
+    """A header above MAX_PARSED_VERTICES is refused on its own line; the
+    `1000000000 0` file would otherwise ask for gigabytes."""
+
+    HUGE = "1000000000 0\n"
+
+    @pytest.mark.parametrize("command, code", [("pathwidth", 2), ("classify", 2), ("minor", 3)])
+    def test_one_error_line(self, capsys, tmp_path, command, code):
+        huge = write_graph(tmp_path, "huge.txt", self.HUGE)
+        argv = [command, huge] + ([huge] if command == "minor" else [])
+        got, out, err = run(capsys, *argv)
+        lines = err.splitlines()
+        assert got == code and out == ""
+        assert len(lines) == 1 and lines[0].startswith("error: line 1: ")
+        assert str(MAX_PARSED_VERTICES) in lines[0]
+
+
 class TestTriple:
     def test_found_and_absent(self, capsys, tmp_path):
         c3 = write_graph(tmp_path, "c3.txt", "3 3\n0 1\n1 2\n2 0\n")
@@ -331,12 +349,12 @@ def fuzz_cases(draw):
     return graph, json.dumps({"bags": bags})
 
 
-def run_quiet(argv):
+def run_quiet(argv, codes=(0, 1, 2)):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     errors = [line for line in err.getvalue().splitlines() if line.startswith("error:")]
-    assert code in (0, 1, 2) and len(errors) <= 1, (argv, code, err.getvalue())
+    assert code in codes and len(errors) <= 1, (argv, code, err.getvalue())
     return code, out.getvalue()
 
 
@@ -355,3 +373,34 @@ def test_fuzz_pathwidth_and_verify_decomp(case):
         if code == 0:
             code, out = run_quiet(["verify-decomp", graph, written, "--linked"])
             assert code in (0, 1) and json.loads(out)["valid"] is True
+
+
+@st.composite
+def minor_texts(draw):
+    """A digraph text with a header n <= 7 and edges drawn with repetition,
+    so loops and parallel edges are common, sometimes with one malformed or
+    out-of-range line and a wrong edge count."""
+    n = draw(st.integers(0, 7))
+    vertex = st.integers(0, max(n - 1, 0))
+    edges = [f"{t} {h}" for t, h in draw(st.lists(st.tuples(vertex, vertex), max_size=12))]
+    if draw(st.integers(0, 4)) == 4:
+        edges.insert(draw(st.integers(0, len(edges))), draw(st.sampled_from(BAD_LINES)))
+    count = len(edges) + {6: 1, 7: -1}.get(draw(st.integers(0, 7)), 0)
+    return "\n".join([f"{n} {count}", *edges]) + "\n"
+
+
+@settings(max_examples=150)
+@given(minor_texts(), minor_texts(), st.sampled_from([None, 0, 1, 5, 1000]))
+def test_fuzz_minor(pattern_text, host_text, budget):
+    with tempfile.TemporaryDirectory() as work:
+        pattern, host = os.path.join(work, "h.txt"), os.path.join(work, "g.txt")
+        for path, text in ((pattern, pattern_text), (host, host_text)):
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        argv = ["minor", pattern, host] + ([] if budget is None else ["--budget", str(budget)])
+        code, out = run_quiet(argv, codes=(0, 1, 2, 3))
+    if code == 0:
+        h, g = parse_digraph(pattern_text), parse_digraph(host_text)
+        assert verify_mapping(h, g, MinorMapping.from_json(out, g)).ok
+    elif code == 2:
+        assert budget is not None and out.strip() == "budget"

@@ -1,10 +1,12 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
 
 from digraph_minors.core import (
+    MAX_PARSED_VERTICES,
     Digraph,
     ParseError,
     Subdigraph,
@@ -74,6 +76,19 @@ class TestDigraph:
         assert "line 2" in str(err.value)
         with pytest.raises(ParseError):
             parse_digraph("2 2\n0 1\n")
+
+    def test_header_above_the_vertex_limit(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParseError, match=f"line 1: .*{MAX_PARSED_VERTICES}"):
+                parse_digraph("1000000000 0\n")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
+        with pytest.raises(ParseError, match="line 2: "):
+            parse_digraph(f"# big\n{MAX_PARSED_VERTICES + 1} 0\n")
+        assert parse_digraph(f"{MAX_PARSED_VERTICES} 0\n").vertex_count == MAX_PARSED_VERTICES
 
     @given(small_digraphs(loops=True))
     def test_round_trip_identity(self, g):

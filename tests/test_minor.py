@@ -22,6 +22,10 @@ from digraph_minors.connectivity import find_k_triple
 from digraph_minors.minor import (
     BudgetExceededError,
     MinorMapping,
+    _build_mapping,
+    _neighbour_union,
+    _place,
+    _strongly_connected_masks,
     canonical_form,
     closure_oracle,
     compose,
@@ -174,6 +178,78 @@ class TestMultiDigraphsAgainstClosure:
                     assert m is not None or not member, (h, g)
                 else:
                     assert (m is not None) == member, (h, g)
+
+
+def _contract_to(rng, g, k):
+    """g with random strongly connected sets contracted until at most k
+    vertices remain (or none can be): a minor of g, found by construction."""
+    while g.vertex_count > k:
+        sets = _strongly_connected_masks(g.vertex_count, g.out_mask, g.in_mask)[g.vertex_count:]
+        if not sets:
+            break
+        mask = rng.choice(sets)
+        g, _ = contract(g, Subdigraph.induced(g, [v for v in range(g.vertex_count) if mask >> v & 1]))
+    return g
+
+
+def _uncapped_find_minor(h, g, budget=None):
+    """Reference for the cap: `find_minor` with every strongly connected
+    mask of the host, of any size, fed to `_place`."""
+    if h.vertex_count > g.vertex_count or len(h.edges) > len(g.edges):
+        return None
+    candidates = [(m, m.bit_count(), _neighbour_union(g.out_mask, m),
+                   _neighbour_union(g.in_mask, m))
+                  for m in _strongly_connected_masks(g.vertex_count, g.out_mask, g.in_mask)]
+    chosen = _place(h, g, candidates, budget)
+    return None if chosen is None else _build_mapping(h, g, chosen)
+
+
+class TestCandidateCap:
+    """`find_minor` enumerates only the host's strongly connected masks of at
+    most |V(g)| - |V(h)| + 1 vertices; `_place` never reaches a larger one,
+    so outputs and budget counts match the uncapped search."""
+
+    def test_capped_masks_are_the_uncapped_prefix(self):
+        rng = random.Random("candidate-cap-masks")
+        for _ in range(150):
+            n = rng.randint(1, 9)
+            g = _random_multidigraph(rng, n, rng.randint(0, 3 * n))
+            full = _strongly_connected_masks(n, g.out_mask, g.in_mask)
+            for s in range(1, n + 2):
+                assert (_strongly_connected_masks(n, g.out_mask, g.in_mask, s)
+                        == [m for m in full if m.bit_count() <= s]), (g, s)
+
+    @staticmethod
+    def outcome(search, h, g, budget):
+        try:
+            m = search(h, g, budget)
+        except BudgetExceededError as exc:
+            return "budget", str(exc)
+        return ("absent", None) if m is None else ("found", m.to_json())
+
+    def pairs(self):
+        rng = random.Random("candidate-cap-pairs")
+        for i in range(240):
+            n = rng.randint(1, 7)
+            k = rng.randint(1, n)
+            if i % 2:
+                g = gen_random_tournament(n, seed=rng.randrange(10**6))
+                h = (gen_random_tournament(k, seed=rng.randrange(10**6)) if rng.random() < 0.5
+                     else _contract_to(rng, g, k))
+            else:
+                g = _random_multidigraph(rng, n, rng.randint(n, 3 * n))
+                h = (_random_multidigraph(rng, k, rng.randint(0, 2 * k)) if rng.random() < 0.5
+                     else _contract_to(rng, g, k))
+            yield h, g, rng.choice([None, 0, 1, 5, 40])
+
+    def test_find_minor_matches_the_uncapped_search(self):
+        outcomes = set()
+        for h, g, budget in self.pairs():
+            for b in {None, budget}:
+                got = self.outcome(find_minor, h, g, b)
+                assert got == self.outcome(_uncapped_find_minor, h, g, b), (h, g, b)
+                outcomes.add(got[0])
+        assert outcomes == {"absent", "budget", "found"}
 
 
 class TestBranchEdgeRule:
