@@ -5,16 +5,20 @@ experiment.  Any file argument accepts `-` for standard input.  All JSON
 output carries a top-level "schema" field.  Exit codes: 0 success; 1 negative
 result (invalid decomposition, absent minor/triple, failed experiment);
 2 usage, parse, or parameter errors -- except `minor`, where 2 means the
-search budget ran out and input errors exit 3.
+search budget ran out and usage, input and parameter errors exit 3.  A closed
+standard output keeps the command's exit code.  Each command returns its exit
+code and output text; only `main` parses, writes and maps errors to codes.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import os
 import sys
 
-from .core import FAMILIES, ParseError, classify, gen_family, parse_digraph
+from .core import FAMILIES, classify, gen_family, parse_digraph
 from .connectivity import find_k_triple
 from .pathdecomp import PathDecomposition, build_linked, exact_pathwidth, verify
 from .minor import BudgetExceededError, find_minor
@@ -43,44 +47,37 @@ def _parse_vertex_set(text: str) -> frozenset[int]:
     return frozenset(int(x) for x in text.split(","))
 
 
-def _cmd_gen(args) -> int:
-    g = gen_family(args.family, args.size, args.seed)
-    sys.stdout.write(g.to_text())
-    return 0
+def _cmd_gen(args) -> tuple[int, str]:
+    return 0, gen_family(args.family, args.size, args.seed).to_text()
 
 
-def _cmd_classify(args) -> int:
+def _cmd_classify(args) -> tuple[int, str]:
     c = classify(_load_digraph(args.graph))
-    print(
-        json.dumps(
-            {
-                "schema": "digraph-class/1",
-                "simple": c.simple,
-                "semi_complete": c.semi_complete,
-                "tournament": c.tournament,
-                "acyclic": c.acyclic,
-                "stability_number": c.stability_number,
-            }
-        )
-    )
-    return 0
+    return 0, json.dumps(
+        {
+            "schema": "digraph-class/1",
+            "simple": c.simple,
+            "semi_complete": c.semi_complete,
+            "tournament": c.tournament,
+            "acyclic": c.acyclic,
+            "stability_number": c.stability_number,
+        }
+    ) + "\n"
 
 
-def _cmd_pathwidth(args) -> int:
+def _cmd_pathwidth(args) -> tuple[int, str]:
     g = _load_digraph(args.graph)
     width, decomposition = exact_pathwidth(g)
-    print(width)
     if args.decomp:
         with open(args.decomp, "w", encoding="utf-8") as fh:
             fh.write(decomposition.to_json() + "\n")
-    return 0
+    return 0, f"{width}\n"
 
 
-def _cmd_verify_decomp(args) -> int:
+def _cmd_verify_decomp(args) -> tuple[int, str]:
     g = _load_digraph(args.graph)
     p = _load_decomposition(args.decomp)
     report = verify(g, p, check_linked=args.linked)
-    print(report.to_json())
     ok = report.valid
     if args.linked and report.linked is not None:
         ok = ok and (
@@ -88,74 +85,59 @@ def _cmd_verify_decomp(args) -> int:
             and report.linked.cardinality_ok
             and report.linked.linked_ok
         )
-    return 0 if ok else 1
+    return (0 if ok else 1), report.to_json() + "\n"
 
 
-def _cmd_linked(args) -> int:
+def _cmd_linked(args) -> tuple[int, str]:
     g = _load_digraph(args.graph)
     p = _load_decomposition(args.decomp)
     a = _parse_vertex_set(args.first)
     b = _parse_vertex_set(args.last)
-    result = build_linked(g, p, a, b)
-    print(result.to_json())
-    return 0
+    return 0, build_linked(g, p, a, b).to_json() + "\n"
 
 
-def _cmd_minor(args) -> int:
-    try:
-        pattern = _load_digraph(args.pattern)
-        host = _load_digraph(args.host)
-    except (OSError, ParseError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+def _cmd_minor(args) -> tuple[int, str]:
+    pattern = _load_digraph(args.pattern)
+    host = _load_digraph(args.host)
     try:
         mapping = find_minor(pattern, host, budget=args.budget)
     except BudgetExceededError:
-        print("budget")
-        return 2
+        return 2, "budget\n"
     if mapping is None:
-        print("absent")
-        return 1
-    print(mapping.to_json())
-    return 0
+        return 1, "absent\n"
+    return 0, mapping.to_json() + "\n"
 
 
-def _cmd_triple(args) -> int:
+def _cmd_triple(args) -> tuple[int, str]:
     g = _load_digraph(args.graph)
     triple = find_k_triple(g, args.k)
     if triple is None:
-        print("absent")
-        return 1
-    print(
-        json.dumps(
-            {
-                "schema": "ktriple/1",
-                "a": list(triple.a),
-                "b": list(triple.b),
-                "c": list(triple.c),
-            }
-        )
-    )
-    return 0
+        return 1, "absent\n"
+    return 0, json.dumps(
+        {
+            "schema": "ktriple/1",
+            "a": list(triple.a),
+            "b": list(triple.b),
+            "c": list(triple.c),
+        }
+    ) + "\n"
 
 
-def _cmd_experiment(args) -> int:
+def _cmd_experiment(args) -> tuple[int, str]:
     params = {}
-    _, spec = EXPERIMENTS[args.name]
     for item in args.param or []:
         if "=" not in item:
             raise ValueError(f"--param expects key=value, got {item!r}")
         key, value = item.split("=", 1)
-        if key not in spec:
-            raise ValueError(f"experiment {args.name!r} takes no parameter {key!r}")
-        params[key] = spec[key](value)
+        params[key] = value
     report = run_experiment(args.name, **params)
-    print(json.dumps(report, indent=2))
     ok = report["aggregate"].get("all_pass", True)
-    return 0 if ok else 1
+    return (0 if ok else 1), json.dumps(report, indent=2) + "\n"
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on the first call and shared after it."""
     parser = argparse.ArgumentParser(
         prog="digraph-minors",
         description="Directed minors, path-decompositions, and the machinery around them.",
@@ -210,13 +192,29 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    error_code = 3 if "minor" in argv[:1] else 2
     try:
-        return args.fn(args)
-    except (OSError, ParseError, ValueError) as exc:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        if exc.code != 2:
+            raise
+        return error_code
+    try:
+        code, text = args.fn(args)
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return error_code
+    try:
+        print(text, end="", flush=True)
+    except BrokenPipeError:
+        # The reader has gone; the exit code stands.  The rest of the buffer
+        # goes to the null device, so the flush at exit cannot fail again.
+        stdout = sys.stdout.fileno()
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, stdout)
+        os.close(devnull)
+    return code
 
 
 if __name__ == "__main__":

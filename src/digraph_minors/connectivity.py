@@ -209,8 +209,9 @@ def minimal_union_paths(g: Digraph, a, b, s: int) -> PathSystem:
     only at its first vertex and b only at its last.
 
     Starts from a maximum flow system and shrinks: trim each path to its last
-    a-vertex and first b-vertex after it, then splice out forward chords until
-    none remain.  The union strictly shrinks, so this terminates.
+    a-vertex and first b-vertex after it, then jump from each vertex to its
+    furthest later out-neighbour on the path.  A jump leaves no forward chord
+    at or before its tail, so one forward pass leaves none at all.
     """
     if not is_semi_complete(g):
         raise ValueError("minimal_union_paths requires a semi-complete digraph")
@@ -228,17 +229,12 @@ def minimal_union_paths(g: Digraph, a, b, s: int) -> PathSystem:
         path = path[last_a:]
         first_b = min(i for i, v in enumerate(path) if v in b)
         path = path[: first_b + 1]
-        changed = True
-        while changed:
-            changed = False
-            for i in range(len(path)):
-                for j in range(len(path) - 1, i + 1, -1):
-                    if g.has_edge(path[i], path[j]):
-                        path = path[: i + 1] + path[j:]
-                        changed = True
-                        break
-                if changed:
-                    break
+        i = 0
+        while i < len(path) - 2:
+            j = next((j for j in range(len(path) - 1, i + 1, -1)
+                      if g.has_edge(path[i], path[j])), i + 1)
+            del path[i + 1:j]
+            i += 1
         out.append(tuple(path))
     return PathSystem(tuple(out))
 

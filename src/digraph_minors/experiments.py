@@ -431,10 +431,12 @@ EXPERIMENTS = {
 
 
 def run_experiment(name: str, **params) -> dict:
+    """Run a named experiment, each parameter value converted by its spec."""
     if name not in EXPERIMENTS:
         raise ValueError(f"unknown experiment {name!r}; choose from {sorted(EXPERIMENTS)}")
     fn, spec = EXPERIMENTS[name]
-    for key in params:
+    for key, value in params.items():
         if key not in spec:
             raise ValueError(f"experiment {name!r} takes no parameter {key!r}")
+        params[key] = spec[key](value)
     return fn(**params)

@@ -285,13 +285,16 @@ def find_minor(
     """Exhaustive search for a minor mapping of h into g.
 
     None is a certificate of absence.  `budget` caps the number of branch-set
-    placements tried; exceeding it raises BudgetExceededError.  Pattern
-    vertices are processed by descending degree and branch-set candidates in
-    ascending (size, ids) order, so the first mapping found is deterministic.
+    placements tried; exceeding it raises BudgetExceededError, and a negative
+    budget raises ValueError.  Pattern vertices are processed by descending
+    degree and branch-set candidates in ascending (size, ids) order, so the
+    first mapping found is deterministic.
     The candidates are the host's strongly connected vertex masks of at most
     |V(g)| - |V(h)| + 1 vertices, the most one branch set can take; they are
     enumerated before the budget counter starts.
     """
+    if budget is not None and budget < 0:
+        raise ValueError(f"budget must be non-negative, got {budget}")
     if h.vertex_count == 0:
         if h.edges:
             raise AssertionError("edges without vertices")

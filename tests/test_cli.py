@@ -1,14 +1,21 @@
 import contextlib
 import io
+import itertools
 import json
 import os
+import subprocess
+import sys
 import tempfile
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import digraph_minors
 from digraph_minors.cli import main
-from digraph_minors.core import MAX_PARSED_VERTICES, gen_transitive, parse_digraph
+from digraph_minors.connectivity import KTriple, is_k_triple
+from digraph_minors.core import (
+    FAMILIES, MAX_PARSED_VERTICES, gen_family, gen_transitive, parse_digraph)
+from digraph_minors.experiments import EXPERIMENTS
 from digraph_minors.minor import MinorMapping, verify_mapping
 from digraph_minors.pathdecomp import PATHWIDTH_MAX_VERTICES, PathDecomposition
 
@@ -51,6 +58,12 @@ class TestGen:
         _, out1, _ = run(capsys, "gen", "random_tournament", "8", "--seed", "4")
         _, out2, _ = run(capsys, "gen", "random_tournament", "8", "--seed", "4")
         assert out1 == out2
+
+    def test_gen_seed_not_kept_between_calls(self, capsys):
+        run(capsys, "gen", "random_tournament", "8", "--seed", "4")
+        _, out, _ = run(capsys, "gen", "random_tournament", "8")
+        assert out == gen_family("random_tournament", 8).to_text()
+        assert out != gen_family("random_tournament", 8, 4).to_text()
 
     def test_gen_out_of_range(self, capsys):
         code, _, err = run(capsys, "gen", "super_tournament", "2")
@@ -174,6 +187,20 @@ class TestMinor:
         bad = write_graph(tmp_path, "bad.txt", "nonsense\n")
         code, _, err = run(capsys, "minor", bad, bad)
         assert code == 3 and "error" in err
+
+    @pytest.mark.parametrize("extra", [["--budget", "abc"], ["--budget", "-1"], [], ["--bogus"]])
+    def test_usage_error_exit_3(self, capsys, tmp_path, extra):
+        """Exit 2 would read as a spent budget."""
+        g3 = write_graph(tmp_path, "g3.txt", "3 3\n0 1\n1 2\n2 0\n")
+        argv = ["minor", g3] + ([g3] if extra else []) + extra
+        code, out, err = run(capsys, *argv)
+        assert code == 3 and out == ""
+        assert len([line for line in err.splitlines() if "error: " in line]) == 1
+
+    def test_parser_reuse(self, capsys, tmp_path):
+        g3 = write_graph(tmp_path, "g3.txt", "3 3\n0 1\n1 2\n2 0\n")
+        assert run(capsys, "minor", g3, g3, "--budget", "1")[:2] == (2, "budget\n")
+        assert run(capsys, "minor", g3, g3)[0] == 0
 
 
 class TestHugeHeader:
@@ -308,6 +335,89 @@ def test_experiment_parameter_out_of_range_exit_2(capsys, name, param):
     assert len(lines) == 1 and lines[0].startswith("error: ") and param.split("=")[0] in lines[0]
 
 
+class ClosedStdout(io.StringIO):
+    """A standard output whose reader has gone: every write raises.  Its
+    file descriptor is one the test owns."""
+
+    def __init__(self, fd):
+        super().__init__()
+        self.fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def fileno(self):
+        return self.fd
+
+
+@pytest.fixture
+def cli_files(tmp_path):
+    """Inputs for every subcommand, by name."""
+    graphs = {"t3": gen_transitive(3), "c3": gen_family("cycle", 3),
+              "t6": gen_transitive(6), "r8": gen_family("random_tournament", 8, 1),
+              "r9": gen_family("random_tournament", 9, 2)}
+    files = {name: write_graph(tmp_path, f"{name}.txt", g.to_text()) for name, g in graphs.items()}
+    files["d3"] = write_graph(tmp_path, "d3.json", '{"bags": [[0, 1, 2]]}')
+    files["bad"] = write_graph(tmp_path, "bad.json", '{"bags": [[0], [1]]}')
+    files["out"] = str(tmp_path / "out.json")
+    return files
+
+
+# every subcommand, once for each exit code that comes with output
+EVERY_COMMAND = [
+    ["gen", "random_tournament", "8", "--seed", "4"],
+    ["classify", "{r9}"],
+    ["pathwidth", "{r9}", "--decomp", "{out}"],
+    ["verify-decomp", "{c3}", "{d3}", "--linked"],
+    ["verify-decomp", "{c3}", "{bad}"],
+    ["linked", "{c3}", "{d3}"],
+    ["minor", "{t3}", "{r9}"],
+    ["minor", "{c3}", "{t6}"],
+    ["minor", "{r8}", "{r9}", "--budget", "3"],
+    ["triple", "{c3}", "1"],
+    ["triple", "{t3}", "1"],
+    ["experiment", "counterexample-super", "--param", "max_i=4", "--param", "budget=10"],
+    ["experiment", "pathwidth-oracle", "--param", "n=3", "--param", "samples=2"],
+]
+
+
+@pytest.mark.parametrize("argv", EVERY_COMMAND, ids=" ".join)
+def test_closed_stdout_keeps_the_exit_code(capsys, cli_files, argv):
+    argv = [arg.format(**cli_files) for arg in argv]
+    code, out, err = run(capsys, *argv)
+    assert out and "error:" not in err
+    fd = os.open(os.devnull, os.O_WRONLY)
+    try:
+        with contextlib.redirect_stdout(ClosedStdout(fd)):
+            assert main(argv) == code
+    finally:
+        os.close(fd)
+    assert "error:" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, want", [
+    (["minor", "{t3}", "{r9}"], 0),
+    (["minor", "{c3}", "{t6}"], 1),
+    (["minor", "{r8}", "{r9}", "--budget", "3"], 2),
+    (["gen", "random_tournament", "400"], 0),
+])
+def test_closed_pipe_process(cli_files, argv, want):
+    """The command's stdout is a pipe whose read end was closed before it
+    started, so its first write fails; `gen` writes more than 64 KB."""
+    src = os.path.dirname(os.path.dirname(digraph_minors.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "digraph_minors.cli"] + [a.format(**cli_files) for a in argv],
+            stdout=write, stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (want, b"")
+
+
 def test_stdin_dash(capsys, monkeypatch, tmp_path):
     import io
 
@@ -390,7 +500,7 @@ def minor_texts(draw):
 
 
 @settings(max_examples=150)
-@given(minor_texts(), minor_texts(), st.sampled_from([None, 0, 1, 5, 1000]))
+@given(minor_texts(), minor_texts(), st.sampled_from([None, -1, 0, 1, 5, 1000]))
 def test_fuzz_minor(pattern_text, host_text, budget):
     with tempfile.TemporaryDirectory() as work:
         pattern, host = os.path.join(work, "h.txt"), os.path.join(work, "g.txt")
@@ -404,3 +514,153 @@ def test_fuzz_minor(pattern_text, host_text, budget):
         assert verify_mapping(h, g, MinorMapping.from_json(out, g)).ok
     elif code == 2:
         assert budget is not None and out.strip() == "budget"
+    if budget == -1:
+        assert code == 3
+
+
+@st.composite
+def semi_complete_texts(draw):
+    """A semi-complete digraph text on 1 to 7 vertices: each pair joined one
+    way, the other way, or both ways."""
+    n = draw(st.integers(1, 7))
+    edges = []
+    for u, v in itertools.combinations(range(n), 2):
+        way = draw(st.integers(0, 2))
+        edges += [f"{u} {v}"] * (way != 1) + [f"{v} {u}"] * (way != 0)
+    return "\n".join([f"{n} {len(edges)}", *edges]) + "\n"
+
+
+graph_texts = st.one_of(minor_texts(), semi_complete_texts())
+vertex_set_texts = st.one_of(
+    st.lists(st.integers(-1, 7), max_size=3).map(lambda xs: ",".join(map(str, xs))),
+    st.sampled_from(["x", ",", " ", "0,,1"]),
+)
+
+
+def write_texts(work, **texts):
+    """Write each text to a file named after its key; return the paths."""
+    paths = {}
+    for name, text in texts.items():
+        paths[name] = os.path.join(work, name)
+        with open(paths[name], "w", encoding="utf-8") as fh:
+            fh.write(text)
+    return paths
+
+
+@settings(max_examples=100)
+@given(graph_texts)
+def test_fuzz_classify(graph_text):
+    with tempfile.TemporaryDirectory() as work:
+        code, out = run_quiet(["classify", write_texts(work, g=graph_text)["g"]], codes=(0, 2))
+    if code == 0:
+        assert json.loads(out)["schema"] == "digraph-class/1"
+
+
+@settings(max_examples=100)
+@given(graph_texts, st.integers(-1, 3))
+def test_fuzz_triple(graph_text, k):
+    with tempfile.TemporaryDirectory() as work:
+        code, out = run_quiet(["triple", write_texts(work, g=graph_text)["g"], str(k)])
+    if code == 0:
+        data = json.loads(out)
+        triple = KTriple(tuple(data["a"]), tuple(data["b"]), tuple(data["c"]))
+        assert triple.k == k and is_k_triple(parse_digraph(graph_text), triple)
+    elif code == 1:
+        assert out == "absent\n"
+
+
+@settings(max_examples=100)
+@given(graph_texts, st.lists(st.lists(st.integers(-1, 7), max_size=7), max_size=6),
+       st.booleans(), vertex_set_texts, vertex_set_texts)
+def test_fuzz_linked(graph_text, bags, computed, first, last):
+    """`linked` on a drawn decomposition, or on the one `pathwidth` wrote;
+    what it builds verifies as linked."""
+    with tempfile.TemporaryDirectory() as work:
+        paths = write_texts(work, g=graph_text, d=json.dumps({"bags": bags}))
+        if computed:
+            run_quiet(["pathwidth", paths["g"], "--decomp", paths["d"]])
+        code, out = run_quiet(["linked", paths["g"], paths["d"], f"--first={first}",
+                               f"--last={last}"], codes=(0, 2))
+        if code == 0:
+            linked = write_texts(work, linked=out)["linked"]
+            assert run_quiet(["verify-decomp", paths["g"], linked, "--linked"])[0] == 0
+
+
+@settings(max_examples=100)
+@given(st.sampled_from(sorted(FAMILIES) + ["bogus"]), st.integers(-2, 9),
+       st.one_of(st.none(), st.integers(-5, 10**9)))
+def test_fuzz_gen(family, size, seed):
+    argv = ["gen", family, str(size)] + ([] if seed is None else ["--seed", str(seed)])
+    code, out = run_quiet(argv, codes=(0, 2))
+    assert (code == 0) == (out != "")
+    if code == 0:
+        assert parse_digraph(out).to_text() == out
+
+
+# Small values for every parameter, so that no default size runs.  Random
+# hosts of `oracle-equivalence` are off: one of 5 vertices costs up to 1.5 s.
+EXPERIMENT_VALUES = {
+    "counterexample-super": {"max_i": st.integers(2, 4), "budget": st.integers(-1, 50)},
+    "counterexample-stability": {"j": st.integers(0, 3)},
+    "oracle-equivalence": {"n": st.integers(0, 3), "samples": st.integers(-1, 0),
+                           "seed": st.integers(0, 99)},
+    "pathwidth-oracle": {"n": st.integers(0, 5), "samples": st.integers(-1, 3),
+                         "seed": st.integers(0, 99)},
+    "wqo-sample": {"count": st.integers(-1, 3), "n_max": st.integers(0, 4),
+                   "seed": st.integers(0, 99), "budget": st.integers(-1, 100)},
+}
+
+
+@st.composite
+def experiment_argvs(draw):
+    """`experiment` with every parameter given, sometimes with one more
+    --param that is malformed, unknown or not an integer."""
+    name = draw(st.sampled_from(sorted(EXPERIMENT_VALUES)))
+    items = [f"{key}={draw(values)}" for key, values in EXPERIMENT_VALUES[name].items()]
+    if draw(st.integers(0, 3)) == 3:
+        items.insert(draw(st.integers(0, len(items))), draw(st.sampled_from(
+            ["bogus=1", "n", "=1", "seed=x", "budget=", "j=1.5"])))
+    return ["experiment", name] + [arg for item in items for arg in ("--param", item)]
+
+
+def test_experiment_values_cover_every_experiment():
+    assert {name: set(values) for name, values in EXPERIMENT_VALUES.items()} == {
+        name: set(spec) for name, (_, spec) in EXPERIMENTS.items()}
+
+
+@settings(max_examples=100)
+@given(experiment_argvs())
+def test_fuzz_experiment(argv):
+    code, out = run_quiet(argv)
+    if code != 2:
+        report = json.loads(out)
+        assert (code == 0) == report["aggregate"].get("all_pass", True)
+
+
+COMMANDS = ["gen", "classify", "pathwidth", "verify-decomp", "linked", "minor", "triple",
+            "experiment"]
+ARGV_TOKENS = COMMANDS + [
+    "transitive", "cycle", "random_tournament", "counterexample-stability",
+    "--seed", "--budget", "--decomp", "--linked", "--first", "--last", "--param", "-h",
+    "--bogus", "--", "-1", "0", "1", "3", "7", "x", "", "j=3", "n=2", "0,1",
+    "g.txt", "d.json", "missing.txt",
+]
+
+
+@settings(max_examples=150)
+@given(st.one_of(st.sampled_from(COMMANDS), st.sampled_from(ARGV_TOKENS)),
+       st.lists(st.sampled_from(ARGV_TOKENS), max_size=6))
+def test_fuzz_argv(head, tail):
+    """Raw argv tokens: an exit code from the documented set, 3 only for
+    `minor`, or the exit 0 of a help message."""
+    with tempfile.TemporaryDirectory() as work:
+        paths = write_texts(work, **{"g.txt": gen_family("random_tournament", 6).to_text(),
+                                     "d.json": '{"bags": [[0, 1, 2, 3, 4, 5]]}'})
+        paths["missing.txt"] = os.path.join(work, "missing.txt")
+        argv = [paths.get(token, token) for token in [head] + tail]
+        try:
+            code, _ = run_quiet(argv, codes=(0, 1, 2, 3))
+        except SystemExit as exc:
+            assert exc.code == 0 and "-h" in argv
+            return
+    assert code != 3 or head == "minor"

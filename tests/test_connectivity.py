@@ -11,8 +11,10 @@ from digraph_minors.core import (
     gen_transitive,
     is_induced_path,
 )
+from digraph_minors import connectivity
 from digraph_minors.connectivity import (
     KTriple,
+    PathSystem,
     find_k_triple,
     is_k_triple,
     is_separation,
@@ -23,6 +25,7 @@ from digraph_minors.connectivity import (
     pairwise_k_connected_set,
     separates,
 )
+from test_pathdecomp import random_semi_complete
 
 
 def brute_force_min_cut(g, a, b):
@@ -199,7 +202,83 @@ class TestMinSeparation:
         assert sep.order == 1
 
 
+def restart_loop_union_paths(g, a, b, paths):
+    """The trim and chord splice of `minimal_union_paths` on the given flow
+    paths, with the splice as a loop that restarts from the first vertex
+    after every splice: the reference for its single forward pass."""
+    out = []
+    for path in paths:
+        path = list(path)
+        last_a = max(i for i, v in enumerate(path) if v in a)
+        path = path[last_a:]
+        first_b = min(i for i, v in enumerate(path) if v in b)
+        path = path[: first_b + 1]
+        changed = True
+        while changed:
+            changed = False
+            for i in range(len(path)):
+                for j in range(len(path) - 1, i + 1, -1):
+                    if g.has_edge(path[i], path[j]):
+                        path = path[: i + 1] + path[j:]
+                        changed = True
+                        break
+                if changed:
+                    break
+        out.append(tuple(path))
+    return tuple(out)
+
+
+def random_walks(g, rng):
+    """Disjoint directed paths, each grown from a random start by random
+    steps to unused out-neighbours, so long paths with many chords."""
+    free = set(range(g.vertex_count))
+    walks = []
+    while free and len(walks) < 3:
+        walk = [rng.choice(sorted(free))]
+        free.discard(walk[-1])
+        while steps := [v for v in sorted(free) if g.has_edge(walk[-1], v)]:
+            walk.append(rng.choice(steps))
+            free.discard(walk[-1])
+        walks.append(tuple(walk))
+    return walks
+
+
 class TestMinimalUnionPaths:
+    def test_single_pass_matches_restart_loop(self):
+        rng = random.Random(16)
+        queries = 0
+        for _ in range(400):
+            n = rng.randrange(1, 13)
+            g = random_semi_complete(n, rng)
+            a = frozenset(rng.sample(range(n), rng.randrange(1, n + 1)))
+            b = frozenset(rng.sample(range(n), rng.randrange(1, n + 1)))
+            system = max_disjoint_paths(g, a, b)
+            for s in range(1, len(system) + 1):
+                assert minimal_union_paths(g, a, b, s).paths == \
+                    restart_loop_union_paths(g, a, b, system.paths[:s]), (g, a, b, s)
+                queries += 1
+        assert queries > 1000
+
+    def test_single_pass_matches_restart_loop_on_chorded_paths(self, monkeypatch):
+        """Flow paths seldom have chords, so here the flow is replaced by
+        random walks from a vertex of a to a vertex of b."""
+        rng = random.Random(17)
+        spliced = 0
+        for _ in range(400):
+            n = rng.randrange(1, 13)
+            g = random_semi_complete(n, rng)
+            walks = random_walks(g, rng)
+            a = frozenset(w[0] for w in walks) | {rng.randrange(n)}
+            b = frozenset(w[-1] for w in walks)
+            system = PathSystem(tuple(walks))
+            monkeypatch.setattr(connectivity, "max_disjoint_paths", lambda *_: system)
+            for s in range(1, len(walks) + 1):
+                got = minimal_union_paths(g, a, b, s).paths
+                assert got == restart_loop_union_paths(g, a, b, walks[:s]), (g, walks, s)
+                spliced += any(p != w[w.index(p[0]):w.index(p[0]) + len(p)]
+                               for p, w in zip(got, walks))
+        assert spliced > 200
+
     def test_empty_request(self):
         assert minimal_union_paths(gen_transitive(3), {0}, {2}, 0).paths == ()
 

@@ -114,6 +114,12 @@ class TestFindMinor:
         with pytest.raises(BudgetExceededError):
             find_minor(g, g, budget=1)
 
+    def test_negative_budget_refused(self):
+        g = gen_random_tournament(3, seed=0)
+        for h in (Digraph(0, ()), g):
+            with pytest.raises(ValueError, match="budget must be non-negative, got -1"):
+                find_minor(h, g, budget=-1)
+
     # (pattern, host, smallest budget that completes, found); the budgets
     # were measured on the frozenset search this mask search replaced, so
     # they pin the placement count the CLI `minor --budget` relies on
