@@ -216,7 +216,10 @@ def counterexample_super(max_i: int = 5, budget: int = 2_000_000) -> dict:
 def counterexample_stability(j: int = 3) -> dict:
     """Structural route for the stability-two family: the smaller member is
     no subdigraph of the larger, and contracting any nontrivial
-    strongly-connected subdigraph kills every pair of disjoint cycles."""
+    strongly-connected subdigraph kills every pair of disjoint cycles.
+    `j` runs from 2 to 5: the subdigraph search grows about tenfold a step,
+    and j = 6 takes about 30 s."""
+    _check_bounds("j", j, 2, 5)
     small = gen_stability_two(2)
     big = gen_stability_two(j)
     t0 = time.perf_counter()

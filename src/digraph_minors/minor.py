@@ -13,9 +13,12 @@ loopless patterns, containment can equivalently be decided by deleting and
 contracting, which `closure_oracle` does; the two routes are cross-checked
 in the test suite.
 
-The closure search and canonical forms run on a compact encoding, (n, edges)
-with `edges` a sorted tuple of (tail, head) pairs, and `_canonical_edges`, the
-one canonical-form function, keeps a process-wide cache keyed on it.
+The closure search and canonical forms run on one flat tuple per digraph, its
+state `(n, *ids)`: the vertex count, then the sorted edge ids t * n + h.
+`_canonical`, the one canonical-form function, keeps a process-wide cache
+keyed on states, and `_canonical_children` a second one of each canonical
+state's canonical children, so a minor that several hosts share is expanded
+once per process.
 """
 
 from __future__ import annotations
@@ -69,19 +72,37 @@ class MinorMapping:
 
     @classmethod
     def from_json(cls, text: str, host: Digraph) -> "MinorMapping":
+        """Read `to_json`'s output back onto `host`.  Malformed input raises
+        ValueError: not a JSON object, a missing `branch_sets` or
+        `witnesses`, keys other than "0".."k-1", ids that are not integers,
+        or a branch set that does not fit the host."""
         data = json.loads(text)
-        branches = data["branch_sets"]
-        assignment = tuple(
-            Subdigraph(
-                host,
-                frozenset(branches[str(v)]["vertices"]),
-                frozenset(branches[str(v)]["edges"]),
-            )
-            for v in range(len(branches))
-        )
-        witnesses = data["witnesses"]
-        witness = tuple(witnesses[str(i)] for i in range(len(witnesses)))
-        return cls(assignment, witness)
+        if not isinstance(data, dict):
+            raise ValueError("minor mapping JSON must be an object")
+        assignment = []
+        for v, branch in enumerate(_numbered(data, "branch_sets")):
+            if not isinstance(branch, dict) or not all(
+                isinstance(branch.get(key), list) and all(type(i) is int for i in branch[key])
+                for key in ("vertices", "edges")
+            ):
+                raise ValueError(
+                    f"branch set {v} needs 'vertices' and 'edges': lists of integer ids")
+            assignment.append(Subdigraph(host, frozenset(branch["vertices"]),
+                                         frozenset(branch["edges"])))
+        witness = _numbered(data, "witnesses")
+        if not all(type(w) is int for w in witness):
+            raise ValueError("witnesses must be integer edge ids")
+        return cls(tuple(assignment), tuple(witness))
+
+
+def _numbered(data: dict, key: str) -> list:
+    """The values of the object `data[key]`, whose keys must be "0".."k-1"."""
+    entries = data.get(key)
+    if not isinstance(entries, dict):
+        raise ValueError(f"minor mapping JSON needs {key!r}: an object")
+    if set(entries) != {str(i) for i in range(len(entries))}:
+        raise ValueError(f"{key!r} keys must be the numbers 0..{len(entries) - 1}")
+    return [entries[str(i)] for i in range(len(entries))]
 
 
 @dataclass(frozen=True)
@@ -394,31 +415,34 @@ def identity_mapping(g: Digraph) -> MinorMapping:
 
 
 @lru_cache(maxsize=65536)
-def _canonical_edges(
-    n: int, edges: tuple[tuple[int, int], ...]
-) -> tuple[tuple[int, int], ...]:
-    """Canonical sorted edge tuple of the multi-digraph on 0..n-1 whose sorted
-    edge tuple is `edges`: isomorphic multi-digraphs get equal tuples.
+def _canonical(state: tuple[int, ...]) -> tuple[int, ...]:
+    """Canonical state of the multi-digraph whose state is `state`:
+    isomorphic multi-digraphs get equal states.
 
-    Colour refinement starts from (out-degree, in-degree, loops) and splits
-    classes by the sorted (colour, multiplicity) lists of out- and
+    A state is one flat tuple `(n, *ids)`: the vertex count, then the sorted
+    edge ids t * n + h of the multi-digraph on 0..n-1 (a parallel edge
+    repeats its id).  For a fixed n the ids sort exactly as the (tail, head)
+    pairs do.  Colour refinement starts from (out-degree, in-degree, loops)
+    and splits classes by the sorted (colour, multiplicity) lists of out- and
     in-neighbours until the class count stops growing or reaches n; classes
     are ordered by their signatures, so the order is label-invariant.  The
-    lexicographically least relabelled edge tuple is then taken over products
-    of within-class permutations, which is exact.  The process-wide cache is
-    keyed on the encoding, so every caller in the process shares it.
+    least relabelled id tuple is then taken over products of within-class
+    permutations, which is exact.  The process-wide cache is keyed on the
+    state, so every caller in the process shares it.
     """
+    n = state[0]
     if n <= 1:
-        return edges
+        return state
+    pairs = [divmod(e, n) for e in state[1:]]
     outs: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     ins: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     degree = [[0, 0, 0] for _ in range(n)]
-    i, m = 0, len(edges)
+    i, m = 0, len(pairs)
     while i < m:
-        # parallel edges are adjacent in the sorted tuple
-        e = edges[i]
+        # parallel edges are adjacent in the sorted ids
+        e = pairs[i]
         j = i + 1
-        while j < m and edges[j] == e:
+        while j < m and pairs[j] == e:
             j += 1
         t, h = e
         k = j - i
@@ -458,40 +482,50 @@ def _canonical_edges(
     for perm_combo in product(*(permutations(cls) for cls in classes)):
         for new, v in enumerate(chain.from_iterable(perm_combo)):
             relabel[v] = new
-        relabelled = tuple(sorted((relabel[t], relabel[h]) for t, h in edges))
+        relabelled = sorted([relabel[t] * n + relabel[h] for t, h in pairs])
         if best is None or relabelled < best:
             best = relabelled
-    return best
+    return (n, *best)
+
+
+def _encode(g: Digraph) -> tuple[int, ...]:
+    n = g.vertex_count
+    return (n, *sorted(t * n + h for t, h in g.edges))
+
+
+def _decode(state: tuple[int, ...]) -> Digraph:
+    n = state[0]
+    return Digraph(n, tuple(divmod(e, n) for e in state[1:]))
 
 
 def canonical_form(g: Digraph) -> Digraph:
-    """Canonically relabelled copy, a fresh value on every call: isomorphic
-    multi-digraphs map to equal values (see `_canonical_edges`)."""
-    n = g.vertex_count
-    return Digraph(n, _canonical_edges(n, tuple(sorted(g.edges))))
+    """Canonically relabelled copy: isomorphic multi-digraphs map to equal
+    values (see `_canonical`).  The cache holds states, not `Digraph`
+    values, so every call returns a fresh value."""
+    return _decode(_canonical(_encode(g)))
 
 
-def _closure_children(
-    n: int, edges: tuple[tuple[int, int], ...]
-) -> set[tuple[int, tuple[tuple[int, int], ...]]]:
-    """The (vertex count, sorted edges) encodings of every digraph one
-    operation away from the digraph on 0..n-1 with sorted edges `edges`:
-    delete an edge, delete a vertex, or contract a strongly connected induced
-    subdigraph on >= 2 vertices, relabelled as `core.delete_vertex` and
-    `core.contract` do."""
+def _closure_children(state: tuple[int, ...]) -> set[tuple[int, ...]]:
+    """The states (see `_canonical`) of every digraph one operation away from
+    the digraph whose state is `state`: delete an edge, delete a vertex, or
+    contract a strongly connected induced subdigraph on >= 2 vertices,
+    relabelled as `core.delete_vertex` and `core.contract` do."""
+    n = state[0]
     children = set()
-    for i in range(len(edges)):
+    for i in range(1, len(state)):
         # deleting either of two parallel copies gives the same child
-        if i and edges[i] == edges[i - 1]:
+        if i > 1 and state[i] == state[i - 1]:
             continue
-        children.add((n, edges[:i] + edges[i + 1:]))
+        children.add(state[:i] + state[i + 1:])
+    pairs = [divmod(e, n) for e in state[1:]]
+    k = n - 1
     for v in range(n):
         # shifting the ids above v down keeps the surviving edges sorted
-        children.add((n - 1, tuple((t - (t > v), h - (h > v))
-                                   for t, h in edges if t != v and h != v)))
+        children.add((k, *[(t - (t > v)) * k + h - (h > v)
+                           for t, h in pairs if t != v and h != v]))
     out = [0] * n
     inn = [0] * n
-    for t, h in edges:
+    for t, h in pairs:
         out[t] |= 1 << h
         inn[h] |= 1 << t
     for mask in _strongly_connected_masks(n, out, inn)[n:]:
@@ -503,13 +537,25 @@ def _closure_children(
             if not mask >> v & 1:
                 remap[v] = kept
                 kept += 1
-        children.add((w + 1, tuple(sorted((remap[t], remap[h]) for t, h in edges
-                                          if not (mask >> t & 1 and mask >> h & 1)))))
+        k = w + 1
+        children.add((k, *sorted([remap[t] * k + remap[h] for t, h in pairs
+                                  if not (mask >> t & 1 and mask >> h & 1)])))
     return children
 
 
-# On a 2-vCPU VM a random 6-vertex tournament's closure (13,056 minors) takes
-# about 6 s, and a random 7-vertex one did not finish within 90 s.
+@lru_cache(maxsize=65536)
+def _canonical_children(state: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """The distinct canonical states of the children of the canonical state
+    `state` (`_closure_children`, `_canonical`).  The process-wide cache
+    means that a minor shared by several hosts is expanded once, and its
+    entries are the canonical cache's own tuples."""
+    return tuple({_canonical(child) for child in _closure_children(state)})
+
+
+# On a 2-vCPU VM a random 6-vertex tournament's closure (seed 0, 13,056
+# minors) takes about 5.4 s with cold caches, and a random 7-vertex one did not
+# finish within 90 s.  A second 6-vertex tournament right after it (seed 1,
+# 11,200 minors) takes about 1.8 s, since the two share most small minors.
 CLOSURE_MAX_VERTICES = 6
 
 
@@ -518,30 +564,28 @@ def closure_oracle(g: Digraph) -> frozenset[Digraph]:
     single operations: delete an edge, delete a vertex, or contract a
     strongly-connected induced subdigraph on >= 2 vertices.
 
-    The search runs on (vertex count, canonical sorted edges) tuples
-    (`_closure_children`, `_canonical_edges`); `Digraph` values are built
-    only for the returned set.  Every operation lowers |V| + |E|, so the
-    search ends on its own.  Hosts with more than `CLOSURE_MAX_VERTICES`
-    vertices raise ValueError.
+    The search runs on canonical states (`_canonical`) and expands each one
+    through `_canonical_children`, whose cache a later host shares;
+    `Digraph` values are built only for the returned set.  Every operation
+    lowers |V| + |E|, so the search ends on its own.  Hosts with more than
+    `CLOSURE_MAX_VERTICES` vertices raise ValueError.
     """
     if g.vertex_count > CLOSURE_MAX_VERTICES:
         raise ValueError(
             f"closure_oracle is guarded to hosts with at most {CLOSURE_MAX_VERTICES} vertices"
         )
-    n = g.vertex_count
-    start = (n, _canonical_edges(n, tuple(sorted(g.edges))))
+    start = _canonical(_encode(g))
     seen = {start}
     frontier = [start]
     while frontier:
         fresh = []
         for state in frontier:
-            for k, edges in _closure_children(*state):
-                canon = (k, _canonical_edges(k, edges))
-                if canon not in seen:
-                    seen.add(canon)
-                    fresh.append(canon)
+            for child in _canonical_children(state):
+                if child not in seen:
+                    seen.add(child)
+                    fresh.append(child)
         frontier = fresh
-    return frozenset(Digraph(k, edges) for k, edges in seen)
+    return frozenset(map(_decode, seen))
 
 
 def find_subdigraph_embedding(h: Digraph, g: Digraph) -> tuple[int, ...] | None:

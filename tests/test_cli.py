@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import digraph_minors
+from digraph_minors import experiments
 from digraph_minors.cli import main
 from digraph_minors.connectivity import KTriple, is_k_triple
 from digraph_minors.core import (
@@ -323,6 +324,8 @@ class TestExperiment:
         ("pathwidth-oracle", f"n={PATHWIDTH_MAX_VERTICES + 1}"),
         ("counterexample-super", "budget=-1"),
         ("counterexample-super", "max_i=2"),
+        ("counterexample-stability", "j=1"),
+        ("counterexample-stability", "j=6"),
         ("wqo-sample", "count=-1"),
         ("wqo-sample", "n_max=0"),
         ("wqo-sample", "budget=-1"),
@@ -333,6 +336,19 @@ def test_experiment_parameter_out_of_range_exit_2(capsys, name, param):
     assert code == 2 and out == ""
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ") and param.split("=")[0] in lines[0]
+
+
+@pytest.mark.parametrize("param", ["j=1", "j=6"])
+def test_stability_j_refused_before_any_search(capsys, monkeypatch, param):
+    def search(*args):
+        raise AssertionError("the stability-two search ran")
+
+    monkeypatch.setattr(experiments, "gen_stability_two", search)
+    monkeypatch.setattr(experiments, "find_subdigraph_embedding", search)
+    code, out, err = run(capsys, "experiment", "counterexample-stability", "--param", param)
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [f"error: j must be {'at least 2' if param == 'j=1' else 'at most 5'}, "
+                                f"got {param[2:]}"]
 
 
 class ClosedStdout(io.StringIO):
@@ -599,6 +615,8 @@ def test_fuzz_gen(family, size, seed):
 
 # Small values for every parameter, so that no default size runs.  Random
 # hosts of `oracle-equivalence` are off: one of 5 vertices costs up to 1.5 s.
+# `counterexample-stability` accepts j up to 5, but j stops at 3 here for
+# time: j = 4 takes about 0.5 s and j = 5 about 5 s.
 EXPERIMENT_VALUES = {
     "counterexample-super": {"max_i": st.integers(2, 4), "budget": st.integers(-1, 50)},
     "counterexample-stability": {"j": st.integers(0, 3)},

@@ -1,8 +1,10 @@
 import functools
 import itertools
+import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from digraph_minors.core import (
     Digraph,
@@ -18,6 +20,7 @@ from digraph_minors.core import (
     gen_transitive,
     induced_strongly_connected,
 )
+from digraph_minors import minor
 from digraph_minors.connectivity import find_k_triple
 from digraph_minors.minor import (
     BudgetExceededError,
@@ -409,6 +412,18 @@ class TestCanonicalForm:
             )
             assert canonical_form(g) == canonical_form(relabeled)
 
+    def test_invariant_under_relabeling_past_byte_sized_ids(self):
+        # a 20-vertex state's edge ids run up to 19 * 20 + 18 = 398
+        rng = random.Random(20)
+        for seed in range(5):
+            g = gen_random_tournament(20, seed=seed)
+            perm = list(range(20))
+            rng.shuffle(perm)
+            relabeled = Digraph(20, tuple((perm[t], perm[h]) for t, h in g.edges))
+            form = canonical_form(g)
+            assert form == canonical_form(relabeled)
+            assert max(t * 20 + h for t, h in form.edges) > 255
+
     def test_distinguishes_orientations(self):
         path2 = Digraph(3, ((0, 1), (1, 2)))
         fork = Digraph(3, ((0, 1), (0, 2)))
@@ -505,7 +520,8 @@ class TestClosureOracle:
 
 @functools.lru_cache(maxsize=65536)
 def _reference_canonical_form(g):
-    """The Digraph-valued canonical form that `_canonical_edges` replaced:
+    """The Digraph-valued canonical form that the state-keyed `_canonical`
+    replaced:
     refinement until the colouring stops changing, then the least relabelled
     edge tuple over products of within-class permutations."""
     n = g.vertex_count
@@ -577,8 +593,9 @@ def _reference_closure(g):
 
 
 class TestEncodedClosure:
-    """closure_oracle and canonical_form, which run on (n, sorted edges)
-    tuples, against copies of the Digraph-valued code they replaced."""
+    """closure_oracle and canonical_form, which run on flat states
+    `(n, *sorted edge ids)` with id t * n + h, against copies of the
+    Digraph-valued code they replaced."""
 
     def test_every_semi_complete_digraph_up_to_4_vertices(self):
         # all_semi_complete includes every tournament.  Both searches start
@@ -609,6 +626,74 @@ class TestEncodedClosure:
         for _ in range(600):
             g = _random_multidigraph(rng, rng.randint(1, 6), rng.randint(0, 12))
             assert canonical_form(g).edges == _reference_canonical_form(g).edges, g
+
+
+def _clear_closure_caches():
+    minor._canonical.cache_clear()
+    minor._canonical_children.cache_clear()
+
+
+class TestClosureMemo:
+    """closure_oracle expands each canonical state through
+    `_canonical_children`, whose process-wide cache later hosts share, so a
+    closure must not depend on which closures ran before it."""
+
+    def test_every_tournament_labelling_with_cold_and_warm_caches(self):
+        # each class's closure with both caches empty, then every labelling
+        # of every class after the closures of all the others
+        cold = {}
+        for n in (5, 4, 3):
+            for g in all_tournaments(n):
+                form = canonical_form(g)
+                if form not in cold:
+                    _clear_closure_caches()
+                    cold[form] = closure_oracle(g)
+        assert len(cold) == 12 + 4 + 2
+        for n in (3, 4, 5):
+            for g in all_tournaments(n):
+                assert closure_oracle(g) == cold[canonical_form(g)], g
+
+    def test_seeded_multi_digraphs_with_cold_and_warm_caches(self):
+        rng = random.Random("closure-memo")
+        hosts = [_random_multidigraph(rng, rng.randint(1, 5), rng.randint(0, 8))
+                 for _ in range(60)]
+        assert any(t == h for g in hosts for t, h in g.edges)
+        assert any(len(set(g.edges)) < len(g.edges) for g in hosts)
+        cold = []
+        for g in hosts:
+            _clear_closure_caches()
+            cold.append(closure_oracle(g))
+        for g, closure in zip(reversed(hosts), reversed(cold)):
+            assert closure_oracle(g) == closure, g
+
+    @pytest.mark.parametrize("g, size", [
+        (Digraph(0, ()), 1),
+        (Digraph(1, ((0, 0), (0, 0), (0, 0))), 5),
+        (Digraph(6, gen_cycle(6).edges + ((0, 3), (0, 1), (2, 2))), 506),
+    ])
+    def test_boundary_hosts(self, g, size):
+        _clear_closure_caches()
+        cold = closure_oracle(g)
+        closure_oracle(gen_random_tournament(5, seed=1))
+        assert closure_oracle(g) == cold == _reference_closure(g)
+        assert len(cold) == size
+
+    def test_memo_keys_are_canonical_states(self, monkeypatch):
+        keys = []
+        expand = minor._canonical_children
+
+        def recording(state):
+            keys.append(state)
+            return expand(state)
+
+        _clear_closure_caches()
+        monkeypatch.setattr(minor, "_canonical_children", recording)
+        rng = random.Random("memo-keys")
+        for _ in range(20):
+            closure_oracle(_random_multidigraph(rng, rng.randint(2, 5), rng.randint(1, 8)))
+        assert all(minor._canonical(key) == key for key in keys)
+        info = expand.cache_info()
+        assert info.hits and info.currsize == len(set(keys))
 
 
 class TestMinorMonotonicity:
@@ -710,3 +795,84 @@ def test_mapping_json_round_trip():
     text = m.to_json()
     again = MinorMapping.from_json(text, g)
     assert again == m
+
+
+_JSON_HOST = gen_random_tournament(4, seed=9)
+_VALID = json.loads(find_minor(delete_vertex(_JSON_HOST, 0), _JSON_HOST).to_json())
+
+
+_REMOVE = object()
+
+
+def _with(path, value):
+    """The valid mapping document with the node at `path` replaced by
+    `value`, or removed when `value` is `_REMOVE`."""
+    doc = json.loads(json.dumps(_VALID))
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    if value is _REMOVE:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = value
+    return json.dumps(doc)
+
+
+_MALFORMED_MAPPINGS = {
+    "array": "[]",
+    "number": "5",
+    "null": "null",
+    "string": '"branch_sets"',
+    "not-json": "{",
+    "no-branch-sets": _with(["branch_sets"], _REMOVE),
+    "no-witnesses": _with(["witnesses"], _REMOVE),
+    "branch-sets-array": _with(["branch_sets"], [[0]]),
+    "witnesses-array": _with(["witnesses"], [0]),
+    "vertex-keys-from-1": _with(["branch_sets", "0"], _REMOVE),
+    "vertex-keys-gap": _with(["branch_sets", "4"], {"vertices": [0], "edges": []}),
+    "edge-keys-from-1": _with(["witnesses", "0"], _REMOVE),
+    "edge-key-00": _with(["witnesses", "00"], 1),
+    "branch-array": _with(["branch_sets", "0"], [0]),
+    "branch-without-edges": _with(["branch_sets", "0", "edges"], _REMOVE),
+    "vertices-string": _with(["branch_sets", "0", "vertices"], "0"),
+    "vertex-float": _with(["branch_sets", "0", "vertices"], [0.0]),
+    "vertex-bool": _with(["branch_sets", "0", "vertices"], [True]),
+    "vertex-list": _with(["branch_sets", "0", "vertices"], [[0]]),
+    "edge-null": _with(["branch_sets", "0", "edges"], [None]),
+    "vertex-outside-host": _with(["branch_sets", "0", "vertices"], [7]),
+    "witness-string": _with(["witnesses", "0"], "1"),
+    "witness-float": _with(["witnesses", "0"], 1.5),
+    "witness-object": _with(["witnesses", "0"], {}),
+}
+
+
+@pytest.mark.parametrize("text", _MALFORMED_MAPPINGS.values(), ids=_MALFORMED_MAPPINGS)
+def test_mapping_from_json_rejects_malformed_input(text):
+    with pytest.raises(ValueError):
+        MinorMapping.from_json(text, _JSON_HOST)
+
+
+def _paths(node, prefix=()):
+    yield prefix
+    if isinstance(node, dict):
+        for key, child in node.items():
+            yield from _paths(child, prefix + (key,))
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-1, 6) | st.floats(allow_nan=False) | st.text(max_size=2),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(
+        st.sampled_from(["0", "1", "3", "vertices", "edges", "x"]), inner, max_size=3),
+    max_leaves=6)
+
+
+@settings(max_examples=200)
+@given(st.sampled_from(list(_paths(_VALID))[1:]), st.one_of(st.just(_REMOVE), _JSON_VALUES))
+def test_fuzz_mapping_from_json(path, value):
+    """One node of a valid document replaced or removed: either a mapping
+    that round-trips or ValueError, never another exception."""
+    try:
+        mapping = MinorMapping.from_json(_with(list(path), value), _JSON_HOST)
+    except ValueError:
+        return
+    assert MinorMapping.from_json(mapping.to_json(), _JSON_HOST) == mapping
