@@ -193,8 +193,6 @@ def min_separation(g: Digraph, a, b) -> Separation:
     b = frozenset(b)
     n = g.vertex_count
     everything = frozenset(range(n))
-    if not a:
-        return Separation(frozenset(), everything, 0)
     if not b:
         return Separation(everything, frozenset(), 0)
     _, (seen_in, seen_out) = _max_flow(g, a, b)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 
 class ParseError(ValueError):
@@ -24,14 +25,14 @@ class ParseError(ValueError):
 class Digraph:
     """A multi-digraph on vertices 0..n-1 with its one adjacency view, built
     at construction: bit h of `out_mask[v]` (bit t of `in_mask[v]`) is set
-    iff some edge runs v -> h (t -> v), loops included, and `multiplicity`
-    maps each (tail, head) pair to its number of edges."""
+    iff some edge runs v -> h (t -> v), loops included, and `multiplicity`,
+    a read-only mapping, maps each (tail, head) pair to its number of edges."""
 
     vertex_count: int
     edges: tuple[tuple[int, int], ...]
     out_mask: tuple[int, ...] = field(init=False, repr=False, compare=False)
     in_mask: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    multiplicity: dict[tuple[int, int], int] = field(init=False, repr=False, compare=False)
+    multiplicity: MappingProxyType = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = self.vertex_count
@@ -53,7 +54,7 @@ class Digraph:
         object.__setattr__(self, "edges", tuple(edges))
         object.__setattr__(self, "out_mask", tuple(out))
         object.__setattr__(self, "in_mask", tuple(inn))
-        object.__setattr__(self, "multiplicity", mult)
+        object.__setattr__(self, "multiplicity", MappingProxyType(mult))
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.out_mask[u] >> v & 1)

@@ -26,8 +26,8 @@ from .core import (
     parse_digraph,
 )
 from .connectivity import minimal_union_paths
-from .pathdecomp import PathDecomposition, build_linked, verify
-from .minor import MinorMapping, assign_witnesses, verify_mapping
+from .pathdecomp import PathDecomposition, _id_lists, build_linked, verify
+from .minor import MappingReport, MinorMapping, assign_witnesses, verify_mapping
 
 
 @dataclass(frozen=True)
@@ -125,23 +125,34 @@ class QmkDigraph:
 
     @classmethod
     def from_json(cls, text: str) -> "QmkDigraph":
+        """Read `to_json`'s output back.  Malformed input raises ValueError:
+        a missing field or one of another type than `to_json` writes, a JSON
+        object as a label, or an instance that `make_qmk` rejects."""
         data = json.loads(text)
-        q = QuasiOrder(
-            frozenset(_token_from_json(e) for e in data["order"]["elements"]),
-            frozenset(
-                (_token_from_json(a), _token_from_json(b))
-                for a, b in data["order"]["pairs"]
-            ),
-        )
-        d, _ = make_qmk(
+        if not isinstance(data, dict):
+            raise ValueError("qmk digraph JSON must be an object")
+        order, decomposition = data.get("order"), data.get("decomposition")
+        if not (
+            isinstance(data.get("digraph"), str)
+            and isinstance(decomposition, dict)
+            and _id_lists(decomposition.get("bags"))
+            and _id_lists(data.get("paths"))
+            and isinstance(data.get("labels"), list)
+            and isinstance(order, dict)
+            and isinstance(order.get("elements"), list)
+            and isinstance(order.get("pairs"), list)
+            and all(isinstance(pair, list) and len(pair) == 2 for pair in order["pairs"])
+            and type(data.get("k")) is int
+        ):
+            raise ValueError("qmk digraph JSON lacks a field, or has one of another type")
+        return make_qmk(
             parse_digraph(data["digraph"]),
-            PathDecomposition(tuple(frozenset(b) for b in data["decomposition"]["bags"])),
-            tuple(tuple(p) for p in data["paths"]),
-            tuple(_token_from_json(t) for t in data["labels"]),
-            q,
+            PathDecomposition(tuple(frozenset(b) for b in decomposition["bags"])),
+            data["paths"],
+            _token_from_json(data["labels"]),
+            QuasiOrder(_token_from_json(order["elements"]), _token_from_json(order["pairs"])),
             data["k"],
-        )
-        return d
+        )[0]
 
 
 def _token_to_json(token):
@@ -153,6 +164,8 @@ def _token_to_json(token):
 def _token_from_json(value):
     if isinstance(value, list):
         return tuple(_token_from_json(v) for v in value)
+    if isinstance(value, dict):
+        raise ValueError("a label cannot be a JSON object")
     return value
 
 
@@ -194,6 +207,8 @@ def _validate_qmk(d: QmkDigraph) -> None:
     for path in d.r_paths:
         if not path:
             raise ValueError("empty rooted path")
+        if not all(0 <= v < g.vertex_count for v in path):
+            raise ValueError(f"rooted path {path} leaves the vertex range")
         if seen & set(path):
             raise ValueError("rooted paths are not vertex-disjoint")
         seen.update(path)
@@ -395,15 +410,9 @@ def peel_noncontractible(d: QmkDigraph) -> QmkDigraph:
     return out
 
 
-@dataclass(frozen=True)
-class LabeledMappingReport:
-    ok: bool
-    failures: tuple[str, ...]
-
-
 def verify_labeled_minor(
     d1: QmkDigraph, d2: QmkDigraph, mapping: MinorMapping
-) -> LabeledMappingReport:
+) -> MappingReport:
     """Minor-mapping validity plus the root and label clauses."""
     if (d1.m, d1.k) != (d2.m, d2.k):
         raise ValueError("parameter mismatch: (m, k) differ")
@@ -423,7 +432,7 @@ def verify_labeled_minor(
                 for x in mapping.branch(w).vertices
             ):
                 failures.append(f"label of vertex {w} dominated nowhere in its branch set")
-    return LabeledMappingReport(not failures, tuple(failures))
+    return MappingReport(not failures, tuple(failures))
 
 
 def glue_mappings(

@@ -25,7 +25,6 @@ from .core import (
 from .connectivity import (
     Separation,
     _max_flow,
-    max_disjoint_paths,
     min_separation,
     minimal_union_paths,
 )
@@ -76,11 +75,15 @@ class PathDecomposition:
     def from_json(cls, text: str) -> "PathDecomposition":
         data = json.loads(text)
         bags = data.get("bags") if isinstance(data, dict) else None
-        if not isinstance(bags, list) or not all(
-            isinstance(b, list) and all(type(v) is int for v in b) for b in bags
-        ):
+        if not _id_lists(bags):
             raise ValueError("decomposition JSON needs 'bags': a list of lists of vertex ids")
         return cls(tuple(frozenset(b) for b in bags))
+
+
+def _id_lists(value) -> bool:
+    """Whether the JSON value `value` is a list of lists of integer ids."""
+    return isinstance(value, list) and all(
+        isinstance(ids, list) and all(type(v) is int for v in ids) for ids in value)
 
 
 @dataclass(frozen=True)
@@ -169,20 +172,26 @@ def _linked_violation(g: Digraph, bags) -> tuple[int, int, int] | None:
     vertex in W_i, such a path keeps only vertices x with last(x) < i before
     it; mirrored, cut at its last vertex in W_i, it keeps only vertices with
     first(x) > i after it.  So kappa(h, j), the most disjoint W_h -> W_j
-    paths, can only fall as h moves down or j moves up.
+    paths, can only fall as h moves down or j moves up; and with |W_i| = t,
+    t disjoint W_h -> W_i paths and t disjoint W_i -> W_j paths join at W_i
+    into t disjoint W_h -> W_j paths.
 
-    Acceptance: let bag i attain the minimum t = |W_i| of [h, j].  Cut as
-    above, t disjoint W_h -> W_i paths and t disjoint W_i -> W_j paths each
-    meet all of W_i and nothing else in common, so they join into t disjoint
-    W_h -> W_j paths.  With [L, R] the widest window around i whose bags all
-    have at least t vertices, the decomposition is therefore linked iff
-    kappa(L, i) >= t and kappa(i, R) >= t for every i with t > 0: at most 2r
-    flows, each stopped after t paths, and none where the two bags share t
-    vertices.  Only when a check fails does _first_violation locate the
-    window to report.
+    The check at bag i, with t = |W_i| > 0 and [L_i, R_i] the widest window
+    around i whose bags all hold at least t vertices, tests kappa(L_i, i) >= t
+    and kappa(i, R_i) >= t: at most 2r flows, each stopped after t paths, and
+    none where the two bags share t vertices.
+    (A) If [h, j] fails and i is a smallest bag in it, then L_i <= h and the
+        check at i fails: else its two halves join into t W_h -> W_j paths.
+    (B) If the check at i fails, then [L_i, R_i] fails, by monotonicity.
+    So the decomposition is linked iff every check passes, and the first
+    failing h is the least L_i over the failing checks.  For that h,
+    kappa(h, j) and the minimum t fall as j grows, so the failing j of a run
+    of constant t form a suffix: test each run's last j, and binary-search
+    the first run that fails.
     """
     sizes = [len(bag) for bag in bags]
     r = len(bags)
+    checks = []
     for i, t in enumerate(sizes):
         if t == 0:
             continue
@@ -191,43 +200,32 @@ def _linked_violation(g: Digraph, bags) -> tuple[int, int, int] | None:
             lo -= 1
         while hi + 1 < r and sizes[hi + 1] >= t:
             hi += 1
-        for a, b in ((bags[lo], bags[i]), (bags[i], bags[hi])):
-            if len(a & b) < t and len(_max_flow(g, a, b, limit=t)[0]) < t:
-                return _first_violation(g, bags)
-    return None
-
-
-def _first_violation(g: Digraph, bags) -> tuple[int, int, int] | None:
-    """_linked_violation's window, searched window by window: for each h,
-    kappa(h, j) and the minimum t are non-increasing in j, so within a run of
-    constant t the failing j form a suffix.  Test the run's last j, and on
-    failure binary-search the run for its first failing j.  Each flow stops
-    after t paths."""
+        checks.append((lo, i, hi, t))
+    for h, i, hi, t in sorted(checks):
+        if any(len(a & b) < t and len(_max_flow(g, a, b, limit=t)[0]) < t
+               for a, b in ((bags[h], bags[i]), (bags[i], bags[hi]))):
+            break
+    else:
+        return None
 
     def short(j):
         return len(_max_flow(g, bags[h], bags[j], limit=t)[0]) < t
 
-    r = len(bags)
-    for h in range(r):
-        t = len(bags[h])
-        j = h + 1
-        while j < r:
-            t = min(t, len(bags[j]))
-            if t == 0:
-                break
-            end = j
-            while end + 1 < r and len(bags[end + 1]) >= t:
-                end += 1
-            if short(end):
-                while j < end:
-                    mid = (j + end) // 2
-                    if short(mid):
-                        end = mid
-                    else:
-                        j = mid + 1
-                return h, j, t
-            j = end + 1
-    return None
+    t, j = sizes[h], h + 1
+    while True:
+        t = min(t, sizes[j])
+        end = j
+        while end + 1 < r and sizes[end + 1] >= t:
+            end += 1
+        if short(end):
+            while j < end:
+                mid = (j + end) // 2
+                if short(mid):
+                    end = mid
+                else:
+                    j = mid + 1
+            return h, j, t
+        j = end + 1
 
 
 def _shape_flags(p: PathDecomposition) -> tuple[bool, bool]:
@@ -512,7 +510,7 @@ def build_linked(g: Digraph, p: PathDecomposition, a, b) -> PathDecomposition:
     if not verify(g, p).valid:
         raise ValueError("input decomposition is invalid")
     m = len(a)
-    if m and len(max_disjoint_paths(g, a, b)) < m:
+    if m and len(_max_flow(g, a, b, limit=m)[0]) < m:
         raise ValueError(f"fewer than {m} vertex-disjoint paths from a to b")
 
     k = p.max_bag

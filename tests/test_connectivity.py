@@ -15,6 +15,7 @@ from digraph_minors import connectivity
 from digraph_minors.connectivity import (
     KTriple,
     PathSystem,
+    Separation,
     find_k_triple,
     is_k_triple,
     is_separation,
@@ -185,6 +186,12 @@ def test_flow_matches_networkx_vertex_connectivity():
 
 
 class TestMinSeparation:
+    def test_empty_sides(self):
+        g = gen_cycle(3)
+        everything = frozenset(range(3))
+        assert min_separation(g, set(), {0}) == Separation(frozenset(), everything, 0)
+        assert min_separation(g, {0}, set()) == Separation(everything, frozenset(), 0)
+
     def test_no_path_zero_order(self):
         g = Digraph(4, ((2, 3),))
         sep = min_separation(g, {0}, {1})

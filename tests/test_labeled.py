@@ -1,7 +1,9 @@
 import itertools
+import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from digraph_minors.core import Digraph, gen_random_tournament, induced_strongly_connected
 from digraph_minors.pathdecomp import PathDecomposition
@@ -555,3 +557,95 @@ def test_qmk_json_round_trip():
     peeled = peel_noncontractible(d2)
     again2 = QmkDigraph.from_json(peeled.to_json())
     assert again2.labels == peeled.labels and again2.q == peeled.q
+
+
+_QMK = noncontractible_instance(5, seed=4)[0]
+_REMOVE = object()
+
+
+def _qmk_with(path, value):
+    """The JSON of _QMK with the node at `path` replaced by `value`, or
+    removed when `value` is `_REMOVE`."""
+    doc = json.loads(_QMK.to_json())
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    if value is _REMOVE:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = value
+    return json.dumps(doc)
+
+
+_MALFORMED_QMK = {
+    "array": "[]",
+    "number": "5",
+    "null": "null",
+    "not-json": "{",
+    "empty-object": "{}",
+    "order-only": '{"order": 5}',
+    **{f"no-{key}": _qmk_with([key], _REMOVE)
+       for key in ("digraph", "decomposition", "paths", "labels", "order", "k")},
+    "digraph-number": _qmk_with(["digraph"], 5),
+    "digraph-malformed": _qmk_with(["digraph"], "2 1\n0 5\n"),
+    "decomposition-array": _qmk_with(["decomposition"], [[0]]),
+    "no-bags": _qmk_with(["decomposition", "bags"], _REMOVE),
+    "bags-object": _qmk_with(["decomposition", "bags"], {"0": [0]}),
+    "bag-number": _qmk_with(["decomposition", "bags", 0], 0),
+    "bag-string": _qmk_with(["decomposition", "bags", 0], "0"),
+    "bag-vertex-float": _qmk_with(["decomposition", "bags", 0], [0.0]),
+    "bag-vertex-outside": _qmk_with(["decomposition", "bags", 0], [0, 9]),
+    "no-bags-at-all": _qmk_with(["decomposition", "bags"], []),
+    "path-number": _qmk_with(["paths", 0], 0),
+    "path-vertex-bool": _qmk_with(["paths", 0], [True, 1]),
+    "path-vertex-outside": _qmk_with(["paths", 0], [0, 7]),
+    "path-vertex-negative": _qmk_with(["paths", 0], [-5, 1]),
+    "labels-object": _qmk_with(["labels"], {}),
+    "label-object": _qmk_with(["labels", 0], {}),
+    "label-outside-order": _qmk_with(["labels", 0], 9),
+    "too-few-labels": _qmk_with(["labels"], [1]),
+    "order-array": _qmk_with(["order"], []),
+    "no-elements": _qmk_with(["order", "elements"], _REMOVE),
+    "element-object": _qmk_with(["order", "elements", 0], {"a": 1}),
+    "pairs-object": _qmk_with(["order", "pairs"], {}),
+    "pair-number": _qmk_with(["order", "pairs", 0], 0),
+    "pair-triple": _qmk_with(["order", "pairs", 0], [0, 0, 0]),
+    "pair-object": _qmk_with(["order", "pairs", 0], [{}, 0]),
+    "k-string": _qmk_with(["k"], "5"),
+    "k-bool": _qmk_with(["k"], True),
+    "k-float": _qmk_with(["k"], 5.0),
+    "k-below-bags": _qmk_with(["k"], 2),
+}
+
+
+@pytest.mark.parametrize("text", _MALFORMED_QMK.values(), ids=_MALFORMED_QMK)
+def test_qmk_from_json_rejects_malformed_input(text):
+    with pytest.raises(ValueError):
+        QmkDigraph.from_json(text)
+
+
+def _json_paths(node, prefix=()):
+    yield prefix
+    children = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    for key, child in children:
+        yield from _json_paths(child, prefix + (key,))
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-1, 6) | st.floats(allow_nan=False) | st.text(max_size=2),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=2), inner, max_size=3),
+    max_leaves=6)
+
+
+@settings(max_examples=200)
+@given(st.sampled_from(list(_json_paths(json.loads(_QMK.to_json())))[1:]),
+       st.one_of(st.just(_REMOVE), _JSON_VALUES))
+def test_fuzz_qmk_from_json(path, value):
+    """One node of a valid document replaced or removed: either an instance
+    that round-trips or ValueError, never another exception."""
+    try:
+        d = QmkDigraph.from_json(_qmk_with(list(path), value))
+    except ValueError:
+        return
+    assert QmkDigraph.from_json(d.to_json()) == d

@@ -443,12 +443,14 @@ class TestCanonicalForm:
         assert canonical_form(gen_cycle(5)) == canonical_form(relabeled)
 
     def test_returns_a_fresh_value(self):
-        # the cache holds edge tuples, so a caller that writes to the returned
-        # value's multiplicity cannot change what the next caller gets
+        # the cache holds edge tuples and multiplicity is read-only, so no
+        # caller can change what the next caller gets
         g = Digraph(3, ((0, 1), (0, 1), (1, 2)))
         first = canonical_form(g)
-        first.multiplicity[first.edges[0]] = 7
-        first.multiplicity[(2, 2)] = 1
+        with pytest.raises(TypeError):
+            first.multiplicity[first.edges[0]] = 7
+        with pytest.raises(TypeError):
+            first.multiplicity[(2, 2)] = 1
         again = canonical_form(g)
         assert again == first and again is not first
         assert again.multiplicity == Digraph(3, again.edges).multiplicity

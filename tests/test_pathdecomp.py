@@ -473,22 +473,53 @@ class TestLinkedViolation:
             outcomes[is_semi_complete(g), expected is None] += 1
         assert min(outcomes.values()) >= 100
 
-    def test_at_most_two_flows_per_bag_on_linked_decompositions(self, monkeypatch):
-        calls = []
+    def test_first_window_from_a_later_smaller_bag(self):
+        # the check at bag 1 (t = 3) fails first in bag order, with L = 1, but
+        # the first failing window [0, 3] comes from bag 3's check (t = 1, L = 0)
+        g = Digraph(4, ((0, 1), (1, 0), (0, 2), (3, 0), (1, 2), (3, 1), (3, 2)))
+        p = bags({0, 1}, {0, 1, 2}, {0, 1, 3}, {3})
+        assert is_semi_complete(g) and verify(g, p).valid
+        assert _linked_violation(g, p.bags) == full_scan_linked_violation(g, p.bags) == (0, 3, 1)
 
-        def counted(*args, **kwargs):
-            calls.append(kwargs.get("limit"))
-            return _max_flow(*args, **kwargs)
-
-        monkeypatch.setattr(pathdecomp, "_max_flow", counted)
+    def test_at_most_two_flows_per_bag_on_linked_decompositions(self, flow_limits):
         passes = 0
         for g, p in linked_check_cases(80, seed=29):
-            calls.clear()
+            flow_limits.clear()
             if _linked_violation(g, p.bags) is None:
                 passes += 1
-                assert len(calls) <= 2 * p.r
-                assert all(limit is not None for limit in calls)
+                assert len(flow_limits) <= 2 * p.r
+                assert all(limit is not None for limit in flow_limits)
         assert passes >= 40
+
+    def test_one_window_search_on_failing_decompositions(self, flow_limits):
+        # at most 2r checks, then for one h a flow per run of equal window
+        # minimum and a binary search.  The staircase of prefix bags before an
+        # empty one passes its checks without a flow, while a search of every
+        # h before the failing window {10} -> {11} would pay a flow per run.
+        steps = [*range(1, 11), *range(9, 0, -1)]
+        staircase = bags(*(range(s) for s in steps), (), {10}, {11})
+        edgeless = Digraph(12, ())
+        assert full_scan_linked_violation(edgeless, staircase.bags) == (20, 21, 1)
+        failures = 0
+        for g, p in [(edgeless, staircase), *linked_check_cases(80, seed=29)]:
+            flow_limits.clear()
+            if _linked_violation(g, p.bags) is not None:
+                failures += 1
+                assert len(flow_limits) <= 3 * p.r + p.r.bit_length()
+        assert failures >= 40
+
+
+@pytest.fixture
+def flow_limits(monkeypatch):
+    """The limit of every _max_flow call pathdecomp makes."""
+    limits = []
+
+    def counted(*args, **kwargs):
+        limits.append(kwargs.get("limit"))
+        return _max_flow(*args, **kwargs)
+
+    monkeypatch.setattr(pathdecomp, "_max_flow", counted)
+    return limits
 
 
 def flow_cases():
