@@ -57,7 +57,9 @@ class Digraph:
         object.__setattr__(self, "multiplicity", MappingProxyType(mult))
 
     def has_edge(self, u: int, v: int) -> bool:
-        return bool(self.out_mask[u] >> v & 1)
+        """False unless u and v are both vertex ids 0..n-1."""
+        n = self.vertex_count
+        return 0 <= u < n and 0 <= v < n and bool(self.out_mask[u] >> v & 1)
 
     def to_text(self) -> str:
         """Canonical text form: `n m` header, then sorted `tail head` lines."""
@@ -405,7 +407,7 @@ def is_induced_path(g: Digraph, vs) -> bool:
     if not is_semi_complete(g):
         raise ValueError("induced paths are defined for semi-complete digraphs")
     seq = list(vs)
-    if not seq or len(set(seq)) != len(seq):
+    if not seq or len(set(seq)) != len(seq) or not all(0 <= v < g.vertex_count for v in seq):
         return False
     for a, b in zip(seq, seq[1:]):
         if not g.has_edge(a, b):

@@ -160,21 +160,24 @@ def verify_mapping(h: Digraph, g: Digraph, m: MinorMapping) -> MappingReport:
     return MappingReport(not failures, tuple(failures))
 
 
+def _strong_level(n: int, out, inn, size: int) -> list[int]:
+    """Vertex bitmasks of the strongly connected induced subdigraphs on
+    exactly `size` (at least 1) of the vertices 0..n-1 of the digraph with
+    adjacency masks `out` and `inn`, in ascending sorted-ids order."""
+    level = []
+    for m in map(sum, combinations([1 << v for v in range(n)], size)):
+        low = m & -m
+        if size == 1 or _reach(out, low, m) == m and _reach(inn, low, m) == m:
+            level.append(m)
+    return level
+
+
 def _strongly_connected_masks(n: int, out, inn, max_size: int | None = None) -> list[int]:
-    """Vertex bitmasks of all strongly connected induced subdigraphs of the
-    digraph on 0..n-1 with adjacency masks `out` and `inn`, in ascending
+    """`_strong_level`'s lists for sizes 1..n concatenated, in ascending
     (size, sorted ids) order; the n singletons come first.  With `max_size`
-    (at least 1), only the subsets of at most that many vertices are tested,
-    and the list is the uncapped one cut after its last set of that size."""
-    bits = [1 << v for v in range(n)]
-    masks = list(bits)
+    (at least 1), only the levels up to that size."""
     top = n if max_size is None else min(n, max_size)
-    for size in range(2, top + 1):
-        for m in map(sum, combinations(bits, size)):
-            low = m & -m
-            if _reach(out, low, m) == m and _reach(inn, low, m) == m:
-                masks.append(m)
-    return masks
+    return [m for size in range(1, top + 1) for m in _strong_level(n, out, inn, size)]
 
 
 def _neighbour_union(adj: tuple[int, ...], mask: int) -> int:
@@ -234,14 +237,16 @@ def _build_mapping(h: Digraph, g: Digraph, classes: list[int]) -> MinorMapping:
     return MinorMapping(tuple(branch_sets), assign_witnesses(h, g, branch_sets))
 
 
-def _place(h: Digraph, g: Digraph, candidates, budget: int | None = None) -> list[int] | None:
+def _place(h: Digraph, g: Digraph, level, budget: int | None = None) -> list[int] | None:
     """The one backtracking search behind `find_minor` and
-    `find_subdigraph_embedding`: a branch set for each vertex of h from
-    `candidates`, (mask, size, out-neighbour union, in-neighbour union)
-    tuples in ascending size, pairwise disjoint and with enough host edges
-    for every pattern edge and loop.  Returns the chosen masks by pattern
-    vertex, or None after exhaustive search; order and budget are as
-    `find_minor` documents."""
+    `find_subdigraph_embedding`: a branch set for each vertex of h from the
+    candidates `level(size)`, a list of (mask, out-neighbour union,
+    in-neighbour union) for masks of `size` vertices, pairwise disjoint and
+    with enough host edges for every pattern edge and loop.  `level` is
+    called once per size, when the search first reaches that size, which it
+    does only while the host vertices left over leave room for it.  Returns
+    the chosen masks by pattern vertex, or None after exhaustive search;
+    order and budget are as `find_minor` documents."""
     mult = h.multiplicity
     loops = [mult.get((v, v), 0) for v in range(h.vertex_count)]
     degree = [0] * h.vertex_count
@@ -267,34 +272,37 @@ def _place(h: Digraph, g: Digraph, candidates, budget: int | None = None) -> lis
 
     nodes = 0
     chosen = [0] * h.vertex_count
+    built: list[list] = [[]]  # built[size] is level(size)
 
     def backtrack(pos: int, used: int) -> bool:
         nonlocal nodes
         if pos == len(order):
             return True
         pv = order[pos]
+        loop, join = loops[pv], joins[pos]
         room = g.vertex_count - used.bit_count() - (len(order) - pos - 1)
-        for cls, size, out_union, in_union in candidates:
-            if size > room:
-                break
-            if cls & used:
-                continue
-            nodes += 1
-            if budget is not None and nodes > budget:
-                raise BudgetExceededError(f"budget of {budget} placements exhausted")
-            if loops[pv] and loop_capacity(cls) < loops[pv]:
-                continue
-            for qv, to_q, from_q in joins[pos]:
-                q = chosen[qv]
-                if to_q and not out_union & q or from_q and not in_union & q:
-                    break
-                if (to_q > 1 and cross_count(cls, q) < to_q
-                        or from_q > 1 and cross_count(q, cls) < from_q):
-                    break
-            else:
-                chosen[pv] = cls
-                if backtrack(pos + 1, used | cls):
-                    return True
+        for size in range(1, room + 1):
+            if size == len(built):
+                built.append(level(size))
+            for cls, out_union, in_union in built[size]:
+                if cls & used:
+                    continue
+                nodes += 1
+                if budget is not None and nodes > budget:
+                    raise BudgetExceededError(f"budget of {budget} placements exhausted")
+                if loop and loop_capacity(cls) < loop:
+                    continue
+                for qv, to_q, from_q in join:
+                    q = chosen[qv]
+                    if to_q and not out_union & q or from_q and not in_union & q:
+                        break
+                    if (to_q > 1 and cross_count(cls, q) < to_q
+                            or from_q > 1 and cross_count(q, cls) < from_q):
+                        break
+                else:
+                    chosen[pv] = cls
+                    if backtrack(pos + 1, used | cls):
+                        return True
         return False
 
     return chosen if backtrack(0, 0) else None
@@ -310,9 +318,10 @@ def find_minor(
     budget raises ValueError.  Pattern vertices are processed by descending
     degree and branch-set candidates in ascending (size, ids) order, so the
     first mapping found is deterministic.
-    The candidates are the host's strongly connected vertex masks of at most
-    |V(g)| - |V(h)| + 1 vertices, the most one branch set can take; they are
-    enumerated before the budget counter starts.
+    The candidates are the host's strongly connected vertex masks, built one
+    size at a time when the search first reaches that size: a size that
+    leaves no vertex for a later pattern vertex is never built.  Building
+    them is not counted in the budget.
     """
     if budget is not None and budget < 0:
         raise ValueError(f"budget must be non-negative, got {budget}")
@@ -322,15 +331,12 @@ def find_minor(
         return MinorMapping((), ())
     if h.vertex_count > g.vertex_count or len(h.edges) > len(g.edges):
         return None
-    # (mask, size, out-neighbour union, in-neighbour union); size ascends.
-    # k disjoint non-null branch sets leave at most n - k + 1 host vertices
-    # to any one of them, which is `_place`'s room at its first position
-    cap = g.vertex_count - h.vertex_count + 1
-    candidates = [(m, m.bit_count(), _neighbour_union(g.out_mask, m),
-                   _neighbour_union(g.in_mask, m))
-                  for m in _strongly_connected_masks(g.vertex_count, g.out_mask,
-                                                     g.in_mask, cap)]
-    chosen = _place(h, g, candidates, budget)
+
+    def level(size: int) -> list[tuple[int, int, int]]:
+        return [(m, _neighbour_union(g.out_mask, m), _neighbour_union(g.in_mask, m))
+                for m in _strong_level(g.vertex_count, g.out_mask, g.in_mask, size)]
+
+    chosen = _place(h, g, level, budget)
     if chosen is None:
         return None
     mapping = _build_mapping(h, g, chosen)
@@ -592,6 +598,6 @@ def find_subdigraph_embedding(h: Digraph, g: Digraph) -> tuple[int, ...] | None:
     """Injective vertex map sending h onto a subdigraph of g (respecting edge
     multiplicities), or None after exhaustive search: `find_minor`'s
     placement search with single-vertex branch sets."""
-    singles = [(1 << v, 1, g.out_mask[v], g.in_mask[v]) for v in range(g.vertex_count)]
-    chosen = _place(h, g, singles)
+    singles = [(1 << v, g.out_mask[v], g.in_mask[v]) for v in range(g.vertex_count)]
+    chosen = _place(h, g, lambda size: singles if size == 1 else [])
     return None if chosen is None else tuple(m.bit_length() - 1 for m in chosen)

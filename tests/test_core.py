@@ -457,6 +457,16 @@ class TestInducedPath:
         assert not is_induced_path(g, [0, 0])
         assert not is_induced_path(g, [0, 2])
 
+    @pytest.mark.parametrize("u, v, edge", [
+        (0, 1, True), (1, 0, False), (-3, 1, False), (1, -1, False),
+        (3, 0, False), (0, 3, False), (-1, -1, False),
+    ])
+    def test_ids_outside_the_digraph(self, u, v, edge):
+        g = gen_transitive(3)
+        assert g.has_edge(u, v) is edge
+        assert is_induced_path(g, [u, v]) is edge
+        assert is_induced_path(g, [u]) is (0 <= u < 3)
+
     def test_induced_paths_are_strongly_connected_unless_one_edge(self):
         for seed in range(6):
             g = gen_random_tournament(7, seed=seed)

@@ -206,17 +206,17 @@ def _uncapped_find_minor(h, g, budget=None):
     mask of the host, of any size, fed to `_place`."""
     if h.vertex_count > g.vertex_count or len(h.edges) > len(g.edges):
         return None
-    candidates = [(m, m.bit_count(), _neighbour_union(g.out_mask, m),
-                   _neighbour_union(g.in_mask, m))
+    candidates = [(m, _neighbour_union(g.out_mask, m), _neighbour_union(g.in_mask, m))
                   for m in _strongly_connected_masks(g.vertex_count, g.out_mask, g.in_mask)]
-    chosen = _place(h, g, candidates, budget)
+    chosen = _place(h, g, lambda size: [c for c in candidates if c[0].bit_count() == size],
+                    budget)
     return None if chosen is None else _build_mapping(h, g, chosen)
 
 
 class TestCandidateCap:
-    """`find_minor` enumerates only the host's strongly connected masks of at
-    most |V(g)| - |V(h)| + 1 vertices; `_place` never reaches a larger one,
-    so outputs and budget counts match the uncapped search."""
+    """`find_minor` builds only the sizes of strongly connected masks that
+    `_place` reaches, never more than |V(g)| - |V(h)| + 1 vertices, so
+    outputs and budget counts match the search over every mask."""
 
     def test_capped_masks_are_the_uncapped_prefix(self):
         rng = random.Random("candidate-cap-masks")
@@ -259,6 +259,35 @@ class TestCandidateCap:
                 assert got == self.outcome(_uncapped_find_minor, h, g, b), (h, g, b)
                 outcomes.add(got[0])
         assert outcomes == {"absent", "budget", "found"}
+
+
+class TestLazyLevels:
+    """`find_minor` builds the strong sets of one size only when `_place`
+    first reaches that size."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        sizes = []
+        real = minor._strong_level
+
+        def counting(n, out, inn, size):
+            sizes.append(size)
+            return real(n, out, inn, size)
+
+        monkeypatch.setattr(minor, "_strong_level", counting)
+        return sizes
+
+    def test_found_query_builds_only_singletons(self, built):
+        g = gen_transitive(18)
+        m = find_minor(gen_transitive(3), g)
+        assert m is not None and verify_mapping(gen_transitive(3), g, m).ok
+        assert built == [1]
+
+    def test_budget_stops_before_larger_levels(self, built):
+        h = gen_random_tournament(5, seed=1)
+        with pytest.raises(BudgetExceededError):
+            find_minor(h, gen_random_tournament(16, seed=2), budget=10)
+        assert built == [1]
 
 
 class TestBranchEdgeRule:
