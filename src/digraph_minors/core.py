@@ -43,7 +43,8 @@ class Digraph:
         inn = [0] * n
         mult: dict[tuple[int, int], int] = {}
         for t, h in self.edges:
-            t, h = int(t), int(h)
+            if type(t) is not int or type(h) is not int:
+                raise ValueError(f"edge ({t!r},{h!r}) has a vertex id that is not an integer")
             if not (0 <= t < n and 0 <= h < n):
                 raise ValueError(f"edge ({t},{h}) out of range for n={n}")
             out[t] |= 1 << h
@@ -124,9 +125,13 @@ class Subdigraph:
         object.__setattr__(self, "vertices", frozenset(self.vertices))
         object.__setattr__(self, "edge_indices", frozenset(self.edge_indices))
         for v in self.vertices:
+            if type(v) is not int:
+                raise ValueError(f"vertex {v!r} is not an integer id")
             if not 0 <= v < self.host.vertex_count:
                 raise ValueError(f"vertex {v} outside host")
         for i in self.edge_indices:
+            if type(i) is not int:
+                raise ValueError(f"edge index {i!r} is not an integer")
             if not 0 <= i < len(self.host.edges):
                 raise ValueError(f"edge index {i} outside host")
             t, h = self.host.edges[i]

@@ -23,7 +23,7 @@ from .core import (
 )
 from .minor import (
     BudgetExceededError,
-    _strongly_connected_masks,
+    _strong_level,
     canonical_form,
     closure_oracle,
     find_minor,
@@ -236,7 +236,8 @@ def counterexample_stability(j: int = 3) -> dict:
     ]
     n = big.vertex_count
     t0 = time.perf_counter()
-    masks = _strongly_connected_masks(n, big.out_mask, big.in_mask)[n:]  # past the singletons
+    masks = [m for size in range(2, n + 1)
+             for m in _strong_level(n, big.out_mask, big.in_mask, size)]
     bad = sum(has_two_disjoint_cycles(contract(big, Subdigraph.induced(big, _bits(mask)))[0])
               for mask in masks)
     instances.append(

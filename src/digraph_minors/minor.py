@@ -33,7 +33,7 @@ from .core import (
     Subdigraph,
     _bits,
     _edges_strongly_connected,
-    _reach,
+    _strongly_connected,
     is_semi_complete,
     is_strongly_connected,
 )
@@ -162,22 +162,11 @@ def verify_mapping(h: Digraph, g: Digraph, m: MinorMapping) -> MappingReport:
 
 def _strong_level(n: int, out, inn, size: int) -> list[int]:
     """Vertex bitmasks of the strongly connected induced subdigraphs on
-    exactly `size` (at least 1) of the vertices 0..n-1 of the digraph with
-    adjacency masks `out` and `inn`, in ascending sorted-ids order."""
-    level = []
-    for m in map(sum, combinations([1 << v for v in range(n)], size)):
-        low = m & -m
-        if size == 1 or _reach(out, low, m) == m and _reach(inn, low, m) == m:
-            level.append(m)
-    return level
-
-
-def _strongly_connected_masks(n: int, out, inn, max_size: int | None = None) -> list[int]:
-    """`_strong_level`'s lists for sizes 1..n concatenated, in ascending
-    (size, sorted ids) order; the n singletons come first.  With `max_size`
-    (at least 1), only the levels up to that size."""
-    top = n if max_size is None else min(n, max_size)
-    return [m for size in range(1, top + 1) for m in _strong_level(n, out, inn, size)]
+    exactly `size` of the vertices 0..n-1 of the digraph with adjacency masks
+    `out` and `inn`, in ascending sorted-ids order: the library's one
+    strong-set enumeration."""
+    return [m for m in map(sum, combinations([1 << v for v in range(n)], size))
+            if _strongly_connected(out, inn, m)]
 
 
 def _neighbour_union(adj: tuple[int, ...], mask: int) -> int:
@@ -240,11 +229,11 @@ def _build_mapping(h: Digraph, g: Digraph, classes: list[int]) -> MinorMapping:
 def _place(h: Digraph, g: Digraph, level, budget: int | None = None) -> list[int] | None:
     """The one backtracking search behind `find_minor` and
     `find_subdigraph_embedding`: a branch set for each vertex of h from the
-    candidates `level(size)`, a list of (mask, out-neighbour union,
-    in-neighbour union) for masks of `size` vertices, pairwise disjoint and
-    with enough host edges for every pattern edge and loop.  `level` is
-    called once per size, when the search first reaches that size, which it
-    does only while the host vertices left over leave room for it.  Returns
+    candidates `level(size)`, the vertex masks of `size` host vertices,
+    pairwise disjoint and with enough host edges for every pattern edge and
+    loop.  `level` is called once per size, when the search first reaches
+    that size, which it does only while the host vertices left over leave
+    room for it; each mask's neighbour unions are taken then.  Returns
     the chosen masks by pattern vertex, or None after exhaustive search;
     order and budget are as `find_minor` documents."""
     mult = h.multiplicity
@@ -272,7 +261,8 @@ def _place(h: Digraph, g: Digraph, level, budget: int | None = None) -> list[int
 
     nodes = 0
     chosen = [0] * h.vertex_count
-    built: list[list] = [[]]  # built[size] is level(size)
+    # built[size]: level(size) as (mask, out-neighbour union, in-neighbour union)
+    built: list[list[tuple[int, int, int]]] = [[]]
 
     def backtrack(pos: int, used: int) -> bool:
         nonlocal nodes
@@ -283,7 +273,8 @@ def _place(h: Digraph, g: Digraph, level, budget: int | None = None) -> list[int
         room = g.vertex_count - used.bit_count() - (len(order) - pos - 1)
         for size in range(1, room + 1):
             if size == len(built):
-                built.append(level(size))
+                built.append([(m, _neighbour_union(g.out_mask, m), _neighbour_union(g.in_mask, m))
+                              for m in level(size)])
             for cls, out_union, in_union in built[size]:
                 if cls & used:
                     continue
@@ -331,12 +322,8 @@ def find_minor(
         return MinorMapping((), ())
     if h.vertex_count > g.vertex_count or len(h.edges) > len(g.edges):
         return None
-
-    def level(size: int) -> list[tuple[int, int, int]]:
-        return [(m, _neighbour_union(g.out_mask, m), _neighbour_union(g.in_mask, m))
-                for m in _strong_level(g.vertex_count, g.out_mask, g.in_mask, size)]
-
-    chosen = _place(h, g, level, budget)
+    chosen = _place(h, g, lambda size: _strong_level(g.vertex_count, g.out_mask, g.in_mask, size),
+                    budget)
     if chosen is None:
         return None
     mapping = _build_mapping(h, g, chosen)
@@ -534,18 +521,19 @@ def _closure_children(state: tuple[int, ...]) -> set[tuple[int, ...]]:
     for t, h in pairs:
         out[t] |= 1 << h
         inn[h] |= 1 << t
-    for mask in _strongly_connected_masks(n, out, inn)[n:]:
-        # kept vertices in order, the contracted vertex w last
-        w = n - mask.bit_count()
-        remap = [w] * n
-        kept = 0
-        for v in range(n):
-            if not mask >> v & 1:
-                remap[v] = kept
-                kept += 1
-        k = w + 1
-        children.add((k, *sorted([remap[t] * k + remap[h] for t, h in pairs
-                                  if not (mask >> t & 1 and mask >> h & 1)])))
+    for size in range(2, n + 1):
+        for mask in _strong_level(n, out, inn, size):
+            # kept vertices in order, the contracted vertex w last
+            w = n - size
+            remap = [w] * n
+            kept = 0
+            for v in range(n):
+                if not mask >> v & 1:
+                    remap[v] = kept
+                    kept += 1
+            k = w + 1
+            children.add((k, *sorted([remap[t] * k + remap[h] for t, h in pairs
+                                      if not (mask >> t & 1 and mask >> h & 1)])))
     return children
 
 
@@ -562,7 +550,16 @@ def _canonical_children(state: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
 # minors) takes about 5.4 s with cold caches, and a random 7-vertex one did not
 # finish within 90 s.  A second 6-vertex tournament right after it (seed 1,
 # 11,200 minors) takes about 1.8 s, since the two share most small minors.
+# Digons make six vertices far costlier: seed 0's tournament with the reverses
+# of its first two edges added has 67,489 minors and closed in 31.8 s, and
+# with four added it did not finish within 100 s.  So the search also stops
+# past CLOSURE_MAX_MINORS canonical minors, above every 6-vertex tournament
+# class (at most 14,626), the complete symmetric 5-vertex digraph (16,820,
+# 3.9 s) and the complete symmetric 4-vertex one with every edge doubled
+# (24,833, 4.1 s).  The four-digon host and the complete symmetric 6-vertex
+# digraph reach the cap after 10.6 s and 13.5 s.
 CLOSURE_MAX_VERTICES = 6
+CLOSURE_MAX_MINORS = 50_000
 
 
 def closure_oracle(g: Digraph) -> frozenset[Digraph]:
@@ -574,7 +571,8 @@ def closure_oracle(g: Digraph) -> frozenset[Digraph]:
     through `_canonical_children`, whose cache a later host shares;
     `Digraph` values are built only for the returned set.  Every operation
     lowers |V| + |E|, so the search ends on its own.  Hosts with more than
-    `CLOSURE_MAX_VERTICES` vertices raise ValueError.
+    `CLOSURE_MAX_VERTICES` vertices raise ValueError, and so does a search
+    the moment it holds more than `CLOSURE_MAX_MINORS` canonical minors.
     """
     if g.vertex_count > CLOSURE_MAX_VERTICES:
         raise ValueError(
@@ -589,6 +587,9 @@ def closure_oracle(g: Digraph) -> frozenset[Digraph]:
             for child in _canonical_children(state):
                 if child not in seen:
                     seen.add(child)
+                    if len(seen) > CLOSURE_MAX_MINORS:
+                        raise ValueError(f"closure_oracle is guarded to at most "
+                                         f"{CLOSURE_MAX_MINORS} minors")
                     fresh.append(child)
         frontier = fresh
     return frozenset(map(_decode, seen))
@@ -598,6 +599,6 @@ def find_subdigraph_embedding(h: Digraph, g: Digraph) -> tuple[int, ...] | None:
     """Injective vertex map sending h onto a subdigraph of g (respecting edge
     multiplicities), or None after exhaustive search: `find_minor`'s
     placement search with single-vertex branch sets."""
-    singles = [(1 << v, g.out_mask[v], g.in_mask[v]) for v in range(g.vertex_count)]
+    singles = [1 << v for v in range(g.vertex_count)]
     chosen = _place(h, g, lambda size: singles if size == 1 else [])
     return None if chosen is None else tuple(m.bit_length() - 1 for m in chosen)

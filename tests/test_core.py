@@ -62,6 +62,19 @@ class TestDigraph:
         with pytest.raises(ValueError):
             Digraph(2, ((0, 2),))
 
+    @pytest.mark.parametrize("bad", [0.5, "1", True, None])
+    def test_rejects_ids_that_are_not_integers(self, bad):
+        g = Digraph(2, ((0, 1),))
+        for make in (lambda: Digraph(2, ((bad, 1),)), lambda: Digraph(2, ((0, bad),)),
+                     lambda: Subdigraph(g, [bad], []), lambda: Subdigraph(g, [0, 1], [bad])):
+            with pytest.raises(ValueError, match=f"{bad!r}.* not an integer"):
+                make()
+
+    def test_parsed_ids_are_integers(self):
+        g = parse_digraph("2 3\n0 1\n+1 00\n 1  1 \n")
+        assert g.edges == ((0, 1), (1, 0), (1, 1))
+        assert all(type(x) is int for e in g.edges for x in e)
+
     def test_parallel_edges_and_loops_survive_round_trip(self):
         g = Digraph(3, ((0, 1), (0, 1), (1, 1), (2, 0)))
         again = parse_digraph(g.to_text())

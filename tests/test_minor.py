@@ -19,6 +19,7 @@ from digraph_minors.core import (
     gen_super_tournament,
     gen_transitive,
     induced_strongly_connected,
+    scc_decompose,
 )
 from digraph_minors import minor
 from digraph_minors.connectivity import find_k_triple
@@ -26,9 +27,8 @@ from digraph_minors.minor import (
     BudgetExceededError,
     MinorMapping,
     _build_mapping,
-    _neighbour_union,
     _place,
-    _strongly_connected_masks,
+    _strong_level,
     canonical_form,
     closure_oracle,
     compose,
@@ -193,7 +193,9 @@ def _contract_to(rng, g, k):
     """g with random strongly connected sets contracted until at most k
     vertices remain (or none can be): a minor of g, found by construction."""
     while g.vertex_count > k:
-        sets = _strongly_connected_masks(g.vertex_count, g.out_mask, g.in_mask)[g.vertex_count:]
+        n = g.vertex_count
+        sets = [m for size in range(2, n + 1)
+                for m in _strong_level(n, g.out_mask, g.in_mask, size)]
         if not sets:
             break
         mask = rng.choice(sets)
@@ -203,30 +205,54 @@ def _contract_to(rng, g, k):
 
 def _uncapped_find_minor(h, g, budget=None):
     """Reference for the cap: `find_minor` with every strongly connected
-    mask of the host, of any size, fed to `_place`."""
+    mask of the host, of any size, built before `_place` starts."""
     if h.vertex_count > g.vertex_count or len(h.edges) > len(g.edges):
         return None
-    candidates = [(m, _neighbour_union(g.out_mask, m), _neighbour_union(g.in_mask, m))
-                  for m in _strongly_connected_masks(g.vertex_count, g.out_mask, g.in_mask)]
-    chosen = _place(h, g, lambda size: [c for c in candidates if c[0].bit_count() == size],
-                    budget)
+    n = g.vertex_count
+    levels = [_strong_level(n, g.out_mask, g.in_mask, size) for size in range(n + 1)]
+    chosen = _place(h, g, levels.__getitem__, budget)
     return None if chosen is None else _build_mapping(h, g, chosen)
+
+
+class TestStrongLevel:
+    """`_strong_level` against an independent reference: the subsets of each
+    size, in `itertools.combinations` order, whose induced subdigraph is one
+    component under `scc_decompose` (Tarjan)."""
+
+    @staticmethod
+    def reference(g, size):
+        masks = []
+        for combo in itertools.combinations(range(g.vertex_count), size):
+            idx = {v: i for i, v in enumerate(combo)}
+            sub = Digraph(size, tuple((idx[t], idx[hd]) for t, hd in g.edges
+                                      if t in idx and hd in idx))
+            if len(scc_decompose(sub)) == 1:
+                masks.append(sum(1 << v for v in combo))
+        return masks
+
+    def check(self, g):
+        n = g.vertex_count
+        for size in range(1, n + 2):
+            got = _strong_level(n, g.out_mask, g.in_mask, size)
+            assert got == self.reference(g, size), (g, size)
+
+    def test_every_digraph_on_at_most_three_vertices(self):
+        for n in range(4):
+            pairs = list(itertools.product(range(n), repeat=2))
+            for bits in range(1 << len(pairs)):
+                self.check(Digraph(n, tuple(p for i, p in enumerate(pairs) if bits >> i & 1)))
+
+    def test_seeded_multidigraphs(self):
+        rng = random.Random("strong-level-reference")
+        for _ in range(150):
+            n = rng.randint(1, 8)
+            self.check(_random_multidigraph(rng, n, rng.randint(0, 3 * n)))
 
 
 class TestCandidateCap:
     """`find_minor` builds only the sizes of strongly connected masks that
     `_place` reaches, never more than |V(g)| - |V(h)| + 1 vertices, so
     outputs and budget counts match the search over every mask."""
-
-    def test_capped_masks_are_the_uncapped_prefix(self):
-        rng = random.Random("candidate-cap-masks")
-        for _ in range(150):
-            n = rng.randint(1, 9)
-            g = _random_multidigraph(rng, n, rng.randint(0, 3 * n))
-            full = _strongly_connected_masks(n, g.out_mask, g.in_mask)
-            for s in range(1, n + 2):
-                assert (_strongly_connected_masks(n, g.out_mask, g.in_mask, s)
-                        == [m for m in full if m.bit_count() <= s]), (g, s)
 
     @staticmethod
     def outcome(search, h, g, budget):
@@ -530,6 +556,15 @@ class TestClosureOracle:
     def test_guard_refuses_seven_vertices(self):
         with pytest.raises(ValueError, match="at most 6 vertices"):
             closure_oracle(gen_random_tournament(7, seed=0))
+
+    def test_guard_refuses_too_many_minors(self, monkeypatch):
+        g = gen_random_tournament(4, seed=6)
+        size = len(closure_oracle(g))
+        monkeypatch.setattr(minor, "CLOSURE_MAX_MINORS", size)
+        assert len(closure_oracle(g)) == size
+        monkeypatch.setattr(minor, "CLOSURE_MAX_MINORS", size - 1)
+        with pytest.raises(ValueError, match=f"at most {size - 1} minors"):
+            closure_oracle(g)
 
     def test_keystone_equivalence_tournaments_n3(self):
         for g in all_tournaments(3):
