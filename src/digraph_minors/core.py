@@ -241,7 +241,9 @@ def _reach(adj, start: int, mask: int) -> int:
 
 def _strongly_connected(out, inn, mask: int) -> bool:
     low = mask & -mask
-    return bool(mask) and _reach(out, low, mask) == mask and _reach(inn, low, mask) == mask
+    if mask == low:  # no vertex or one: no reach to search
+        return mask != 0
+    return _reach(out, low, mask) == mask and _reach(inn, low, mask) == mask
 
 
 def _edges_strongly_connected(edges, mask: int) -> bool:
