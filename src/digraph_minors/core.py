@@ -58,7 +58,9 @@ class Digraph:
         object.__setattr__(self, "multiplicity", MappingProxyType(mult))
 
     def has_edge(self, u: int, v: int) -> bool:
-        """False unless u and v are both vertex ids 0..n-1."""
+        """False unless u and v are both vertex ids 0..n-1; ids that are not
+        ints raise ValueError."""
+        _require_ids((u, v))
         n = self.vertex_count
         return 0 <= u < n and 0 <= v < n and bool(self.out_mask[u] >> v & 1)
 
@@ -265,8 +267,19 @@ def is_strongly_connected(g: Digraph, sub: Subdigraph) -> bool:
     return _edges_strongly_connected((g.edges[i] for i in sub.edge_indices), mask)
 
 
+def _require_ids(vs) -> None:
+    """Raise ValueError for the first of vs that is not an int (bools and
+    integral floats included)."""
+    for v in vs:
+        if type(v) is not int:
+            raise ValueError(f"vertex {v!r} is not an integer id")
+
+
 def induced_strongly_connected(g: Digraph, vertices) -> bool:
-    """True iff `vertices` is non-empty and induces a strongly connected subdigraph."""
+    """True iff `vertices` is non-empty and induces a strongly connected
+    subdigraph; ids that are not ints or lie outside g raise ValueError."""
+    vertices = tuple(vertices)
+    _require_ids(vertices)
     mask = 0
     for v in vertices:
         if not 0 <= v < g.vertex_count:
@@ -410,10 +423,12 @@ def is_induced_path(g: Digraph, vs) -> bool:
     """True iff vs traces a directed path with no forward chord v_i -> v_j, j-i >= 2.
 
     Defined for semi-complete hosts only (backward edges are then forced).
+    Ids that are not ints raise ValueError; ids outside g give False.
     """
     if not is_semi_complete(g):
         raise ValueError("induced paths are defined for semi-complete digraphs")
     seq = list(vs)
+    _require_ids(seq)
     if not seq or len(set(seq)) != len(seq) or not all(0 <= v < g.vertex_count for v in seq):
         return False
     for a, b in zip(seq, seq[1:]):

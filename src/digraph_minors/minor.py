@@ -27,6 +27,7 @@ import json
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, combinations, permutations, product
+from math import comb
 
 from .core import (
     Digraph,
@@ -233,9 +234,13 @@ def _place(h: Digraph, g: Digraph, level, budget: int | None = None) -> list[int
     pairwise disjoint and with enough host edges for every pattern edge and
     loop.  `level` is called once per size, when the search first reaches
     that size, which it does only while the host vertices left over leave
-    room for it; each mask's neighbour unions are taken then.  Returns
-    the chosen masks by pattern vertex, or None after exhaustive search;
-    order and budget are as `find_minor` documents."""
+    room for it; each mask's neighbour unions are taken then.  Look-ahead:
+    a pattern vertex with d distinct out-neighbours placed after it needs d
+    disjoint branch sets, each holding a vertex of its mask's out-neighbour
+    union, so a mask whose union holds fewer than d vertices outside the
+    masks chosen so far is dropped; likewise for in-neighbours.  Returns the
+    chosen masks by pattern vertex, or None after exhaustive search; order
+    and budget are as `find_minor` documents."""
     mult = h.multiplicity
     loops = [mult.get((v, v), 0) for v in range(h.vertex_count)]
     degree = [0] * h.vertex_count
@@ -248,6 +253,15 @@ def _place(h: Digraph, g: Digraph, level, budget: int | None = None) -> list[int
     joins = [[(qv, mult.get((pv, qv), 0), mult.get((qv, pv), 0))
               for qv in order[:pos] if (pv, qv) in mult or (qv, pv) in mult]
              for pos, pv in enumerate(order)]
+    # per position: the distinct out- and in-neighbours placed after it
+    at = {v: pos for pos, v in enumerate(order)}
+    later_out = [0] * h.vertex_count
+    later_in = [0] * h.vertex_count
+    for t, hd in mult:
+        if at[t] < at[hd]:
+            later_out[at[t]] += 1
+        elif at[hd] < at[t]:
+            later_in[at[hd]] += 1
 
     spare_cache: dict[int, int] = {}
 
@@ -270,9 +284,14 @@ def _place(h: Digraph, g: Digraph, level, budget: int | None = None) -> list[int
             return True
         pv = order[pos]
         loop, join = loops[pv], joins[pos]
+        need_out, need_in = later_out[pos], later_in[pos]
         room = g.vertex_count - used.bit_count() - (len(order) - pos - 1)
         for size in range(1, room + 1):
             if size == len(built):
+                if budget is not None:
+                    nodes += comb(g.vertex_count, size)
+                    if nodes > budget:
+                        raise BudgetExceededError(f"budget of {budget} placements exhausted")
                 built.append([(m, _neighbour_union(g.out_mask, m), _neighbour_union(g.in_mask, m))
                               for m in level(size)])
             for cls, out_union, in_union in built[size]:
@@ -291,6 +310,10 @@ def _place(h: Digraph, g: Digraph, level, budget: int | None = None) -> list[int
                             or from_q > 1 and cross_count(q, cls) < from_q):
                         break
                 else:
+                    free = ~(used | cls)
+                    if ((out_union & free).bit_count() < need_out
+                            or (in_union & free).bit_count() < need_in):
+                        continue
                     chosen[pv] = cls
                     if backtrack(pos + 1, used | cls):
                         return True
@@ -304,15 +327,22 @@ def find_minor(
 ) -> MinorMapping | None:
     """Exhaustive search for a minor mapping of h into g.
 
-    None is a certificate of absence.  `budget` caps the number of branch-set
-    placements tried; exceeding it raises BudgetExceededError, and a negative
-    budget raises ValueError.  Pattern vertices are processed by descending
-    degree and branch-set candidates in ascending (size, ids) order, so the
-    first mapping found is deterministic.
+    None is a certificate of absence.  Pattern vertices are processed by
+    descending degree and branch-set candidates in ascending (size, ids)
+    order, so the first mapping found is deterministic.
     The candidates are the host's strongly connected vertex masks, built one
     size at a time when the search first reaches that size: a size that
-    leaves no vertex for a later pattern vertex is never built.  Building
-    them is not counted in the budget.
+    leaves no vertex for a later pattern vertex is never built.  A candidate
+    for a pattern vertex with d distinct out-neighbours (in-neighbours)
+    still to be placed is dropped when fewer than d host vertices outside
+    the branch sets chosen so far receive an edge from it (send one to it):
+    each of those neighbours needs its own disjoint branch set reached by
+    such an edge.  So the filter drops only candidates that lead to no
+    mapping, and never changes the first mapping found.
+    `budget` caps the work: each branch-set placement tried counts 1, and
+    building the candidates of a size counts C(n, size), the subsets it
+    tests, before it starts.  Exceeding it raises BudgetExceededError, and
+    a negative budget raises ValueError.
     """
     if budget is not None and budget < 0:
         raise ValueError(f"budget must be non-negative, got {budget}")

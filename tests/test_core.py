@@ -70,6 +70,15 @@ class TestDigraph:
             with pytest.raises(ValueError, match=f"{bad!r}.* not an integer"):
                 make()
 
+    @pytest.mark.parametrize("bad", [True, 1.0, "1", None])
+    def test_queries_refuse_ids_that_are_not_integers(self, bad):
+        g = gen_cycle(3)
+        for query in (lambda: g.has_edge(bad, 1), lambda: g.has_edge(0, bad),
+                      lambda: induced_strongly_connected(g, [bad, 2]),
+                      lambda: is_induced_path(g, [0, bad]), lambda: is_induced_path(g, [bad])):
+            with pytest.raises(ValueError, match=f"{bad!r} is not an integer id"):
+                query()
+
     def test_parsed_ids_are_integers(self):
         g = parse_digraph("2 3\n0 1\n+1 00\n 1  1 \n")
         assert g.edges == ((0, 1), (1, 0), (1, 1))

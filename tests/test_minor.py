@@ -123,18 +123,25 @@ class TestFindMinor:
             with pytest.raises(ValueError, match="budget must be non-negative, got -1"):
                 find_minor(h, g, budget=-1)
 
-    # (pattern, host, smallest budget that completes, found); the budgets
-    # were measured on the frozenset search this mask search replaced, so
-    # they pin the placement count the CLI `minor --budget` relies on
+    # (pattern, host, smallest budget that completes, found): the exact
+    # count the CLI `minor --budget` relies on, placements tried plus the
+    # C(n, size) subsets charged for each size of strong set built
     PINNED_BUDGETS = [
-        (gen_random_tournament(5, seed=1), gen_random_tournament(7, seed=2), 468, False),
-        (gen_random_tournament(4, seed=3), gen_random_tournament(6, seed=4), 77, True),
-        (gen_random_tournament(6, seed=5), gen_random_tournament(7, seed=6), 293, False),
+        (gen_random_tournament(5, seed=1), gen_random_tournament(7, seed=2), 301, False),
+        (gen_random_tournament(4, seed=3), gen_random_tournament(6, seed=4), 17, True),
+        (gen_random_tournament(6, seed=5), gen_random_tournament(7, seed=6), 35, False),
         (Digraph(2, ((0, 0), (0, 1), (0, 1), (1, 0))),
-         gen_random_digraph(5, seed=8, p=0.6), 15, True),
+         gen_random_digraph(5, seed=8, p=0.6), 40, True),
         (Digraph(3, ((0, 0), (0, 1), (0, 1), (1, 2), (2, 0))),
          Digraph(6, ((0, 1), (1, 0), (0, 1), (1, 1), (1, 2), (2, 3), (3, 1), (2, 2),
-                     (3, 4), (4, 5), (5, 3), (4, 0), (5, 2), (0, 5))), 44, True),
+                     (3, 4), (4, 5), (5, 3), (4, 0), (5, 2), (0, 5))), 99, True),
+        # the look-ahead cuts this absent pair from 12,960 placements to
+        # 3,739, plus 255 subsets charged for sizes 1-4
+        (gen_random_tournament(6, seed=7), gen_random_tournament(9, seed=8), 3994, False),
+        # 10 placements, none with a spare edge for the loop, and all
+        # 2^10 - 1 subsets charged, since every size above 1 is built and
+        # found empty
+        (Digraph(1, ((0, 0),)), gen_transitive(10), 1033, False),
     ]
 
     @pytest.mark.parametrize("h, g, budget, found", PINNED_BUDGETS)
@@ -310,9 +317,29 @@ class TestLazyLevels:
         assert built == [1]
 
     def test_budget_stops_before_larger_levels(self, built):
+        # the 16 singletons are charged, then 10 placements spend the rest
         h = gen_random_tournament(5, seed=1)
         with pytest.raises(BudgetExceededError):
+            find_minor(h, gen_random_tournament(16, seed=2), budget=26)
+        assert built == [1]
+        built.clear()
+        with pytest.raises(BudgetExceededError):
             find_minor(h, gen_random_tournament(16, seed=2), budget=10)
+        assert built == []
+
+    @pytest.mark.parametrize("host", [gen_transitive(18), gen_random_tournament(16, seed=0)])
+    def test_budget_counts_the_subsets_of_each_level(self, built, host):
+        # the singletons are charged first, so the budget runs out among
+        # their placements, none of which holds the loop; the levels above 1
+        # are never enumerated
+        with pytest.raises(BudgetExceededError, match="budget of 20 placements"):
+            find_minor(Digraph(1, ((0, 0),)), host, budget=20)
+        assert built == [1]
+
+    def test_level_is_charged_before_it_is_built(self, built):
+        # 18 + 18 fit in 40; the 153 pairs of level 2 do not
+        with pytest.raises(BudgetExceededError, match="budget of 40 placements"):
+            find_minor(Digraph(1, ((0, 0),)), gen_transitive(18), budget=40)
         assert built == [1]
 
 
