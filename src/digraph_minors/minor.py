@@ -18,12 +18,15 @@ state `(n, *ids)`: the vertex count, then the sorted edge ids t * n + h.
 `_canonical`, the one canonical-form function, keeps a process-wide cache
 keyed on states, and `_canonical_children` a second one of each canonical
 state's canonical children, so a minor that several hosts share is expanded
-once per process.
+once per process.  `closure_oracle` returns a `MinorClosure`, a read-only
+set over the canonical states it reached, which builds a `Digraph` only
+when it is iterated.
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Set
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, combinations, permutations, product
@@ -179,15 +182,18 @@ def _neighbour_union(adj: tuple[int, ...], mask: int) -> int:
     return union
 
 
-def _connecting_edges(g: Digraph, mask: int) -> tuple[int, ...]:
+def _connecting_edges(g: Digraph, mask: int, charge=None) -> tuple[int, ...]:
     """First smallest set of induced edges, in (size, edge ids) order, that
     keeps the vertex bitmask `mask` strongly connected; empty for a single
-    vertex."""
+    vertex.  `charge`, if given, is called with 1 before each combination
+    is tested."""
     if not mask & (mask - 1):
         return ()
     internal = [i for i, (t, h) in enumerate(g.edges) if mask >> t & 1 and mask >> h & 1]
     for size in range(mask.bit_count(), len(internal) + 1):
         for combo in combinations(internal, size):
+            if charge is not None:
+                charge(1)
             if _edges_strongly_connected((g.edges[i] for i in combo), mask):
                 return combo
     raise ValueError("vertex set is not strongly connected")
@@ -263,23 +269,30 @@ def _place(h: Digraph, g: Digraph, level, budget: int | None = None) -> list[int
         elif at[hd] < at[t]:
             later_in[at[hd]] += 1
 
+    nodes = 0
+
+    def charge(work: int) -> None:
+        nonlocal nodes
+        nodes += work
+        if nodes > budget:
+            raise BudgetExceededError(f"budget of {budget} placements exhausted")
+
     spare_cache: dict[int, int] = {}
 
     def loop_capacity(cls: int) -> int:
         if cls not in spare_cache:
-            spare_cache[cls] = cross_count(cls, cls) - len(_connecting_edges(g, cls))
+            connecting = _connecting_edges(g, cls, None if budget is None else charge)
+            spare_cache[cls] = cross_count(cls, cls) - len(connecting)
         return spare_cache[cls]
 
     def cross_count(src: int, dst: int) -> int:
         return sum(k for (t, hd), k in g.multiplicity.items() if src >> t & 1 and dst >> hd & 1)
 
-    nodes = 0
     chosen = [0] * h.vertex_count
     # built[size]: level(size) as (mask, out-neighbour union, in-neighbour union)
     built: list[list[tuple[int, int, int]]] = [[]]
 
     def backtrack(pos: int, used: int) -> bool:
-        nonlocal nodes
         if pos == len(order):
             return True
         pv = order[pos]
@@ -289,17 +302,14 @@ def _place(h: Digraph, g: Digraph, level, budget: int | None = None) -> list[int
         for size in range(1, room + 1):
             if size == len(built):
                 if budget is not None:
-                    nodes += comb(g.vertex_count, size)
-                    if nodes > budget:
-                        raise BudgetExceededError(f"budget of {budget} placements exhausted")
+                    charge(comb(g.vertex_count, size))
                 built.append([(m, _neighbour_union(g.out_mask, m), _neighbour_union(g.in_mask, m))
                               for m in level(size)])
             for cls, out_union, in_union in built[size]:
                 if cls & used:
                     continue
-                nodes += 1
-                if budget is not None and nodes > budget:
-                    raise BudgetExceededError(f"budget of {budget} placements exhausted")
+                if budget is not None:
+                    charge(1)
                 if loop and loop_capacity(cls) < loop:
                     continue
                 for qv, to_q, from_q in join:
@@ -341,8 +351,10 @@ def find_minor(
     mapping, and never changes the first mapping found.
     `budget` caps the work: each branch-set placement tried counts 1, and
     building the candidates of a size counts C(n, size), the subsets it
-    tests, before it starts.  Exceeding it raises BudgetExceededError, and
-    a negative budget raises ValueError.
+    tests, before it starts; for a pattern vertex with loops, finding a
+    candidate's spare edges counts 1 for each edge combination tested.
+    Exceeding it raises BudgetExceededError, and a negative budget raises
+    ValueError.
     """
     if budget is not None and budget < 0:
         raise ValueError(f"budget must be non-negative, got {budget}")
@@ -438,57 +450,65 @@ def identity_mapping(g: Digraph) -> MinorMapping:
 
 
 @lru_cache(maxsize=65536)
-def _canonical(state: tuple[int, ...]) -> tuple[int, ...]:
+def _canonical(*state: int) -> tuple[int, ...]:
     """Canonical state of the multi-digraph whose state is `state`:
-    isomorphic multi-digraphs get equal states.
+    isomorphic multi-digraphs get equal states.  Called unpacked,
+    `_canonical(*state)`, so that the cache keys on the caller's state
+    tuple itself rather than on a 1-tuple around it.
 
     A state is one flat tuple `(n, *ids)`: the vertex count, then the sorted
     edge ids t * n + h of the multi-digraph on 0..n-1 (a parallel edge
     repeats its id).  For a fixed n the ids sort exactly as the (tail, head)
-    pairs do.  Colour refinement starts from (out-degree, in-degree, loops)
-    and splits classes by the sorted (colour, multiplicity) lists of out- and
+    pairs do.  Colour refinement (McKay & Piperno, "Practical graph
+    isomorphism, II", 2014) starts from (out-degree, in-degree, loops) and
+    splits classes by the sorted (colour, multiplicity) lists of out- and
     in-neighbours until the class count stops growing or reaches n; classes
     are ordered by their signatures, so the order is label-invariant.  The
     least relabelled id tuple is then taken over products of within-class
-    permutations, which is exact.  The process-wide cache is keyed on the
-    state, so every caller in the process shares it.
+    permutations, which is exact; with n classes there is one product, the
+    colouring itself.  The process-wide cache is keyed on the state, so
+    every caller in the process shares it.  A result other than the input
+    is looked up once more, so that every state of a class shares the one
+    tuple cached for the class.
+
+    One pass turns the ids into (tail, head, multiplicity) runs and takes
+    the degrees from them.  With scale = m + 1 for m edges, the degree
+    triple (o, i, l) is held as the int (o * scale + i) * scale + l and a
+    (colour, multiplicity) pair as colour * scale + multiplicity: every
+    count is below scale, so the ints order exactly as the tuples do, and
+    the colours are those the tuples would give.
     """
     n = state[0]
     if n <= 1:
         return state
-    pairs = [divmod(e, n) for e in state[1:]]
+    ids = state[1:]
+    scale = len(ids) + 1
+    runs: list[list[int]] = []
+    prev = -1
+    for e in ids:
+        # parallel edges are adjacent in the sorted ids
+        if e == prev:
+            runs[-1][2] += 1
+        else:
+            prev = e
+            runs.append([*divmod(e, n), 1])
     outs: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     ins: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    degree = [[0, 0, 0] for _ in range(n)]
-    i, m = 0, len(pairs)
-    while i < m:
-        # parallel edges are adjacent in the sorted ids
-        e = pairs[i]
-        j = i + 1
-        while j < m and pairs[j] == e:
-            j += 1
-        t, h = e
-        k = j - i
+    base = [0] * n
+    for t, h, k in runs:
         outs[t].append((h, k))
         ins[h].append((t, k))
-        degree[t][0] += k
-        degree[h][1] += k
+        base[t] += k * scale * scale
+        base[h] += k * scale
         if t == h:
-            degree[t][2] = k
-        i = j
-    base = [tuple(d) for d in degree]
+            base[t] += k
     lookup = {s: c for c, s in enumerate(sorted(set(base)))}
     color = [lookup[s] for s in base]
     count = len(lookup)
     while count < n:
-        sigs = [
-            (
-                color[v],
-                tuple(sorted((color[w], k) for w, k in outs[v])),
-                tuple(sorted((color[w], k) for w, k in ins[v])),
-            )
-            for v in range(n)
-        ]
+        sigs = [(c, tuple(sorted([color[w] * scale + k for w, k in out])),
+                 tuple(sorted([color[w] * scale + k for w, k in inn])))
+                for c, out, inn in zip(color, outs, ins)]
         distinct = sorted(set(sigs))
         # each signature starts with the old colour, so an equal count means
         # an unchanged partition in an unchanged order
@@ -497,9 +517,13 @@ def _canonical(state: tuple[int, ...]) -> tuple[int, ...]:
         lookup = {s: c for c, s in enumerate(distinct)}
         color = [lookup[s] for s in sigs]
         count = len(distinct)
+    if count == n:
+        best = (n, *sorted([color[e // n] * n + color[e % n] for e in ids]))
+        return state if best == state else _canonical(*best)
     classes: list[list[int]] = [[] for _ in range(count)]
     for v in range(n):
         classes[color[v]].append(v)
+    pairs = [divmod(e, n) for e in ids]
     best = None
     relabel = [0] * n
     for perm_combo in product(*(permutations(cls) for cls in classes)):
@@ -508,7 +532,8 @@ def _canonical(state: tuple[int, ...]) -> tuple[int, ...]:
         relabelled = sorted([relabel[t] * n + relabel[h] for t, h in pairs])
         if best is None or relabelled < best:
             best = relabelled
-    return (n, *best)
+    best = (n, *best)
+    return state if best == state else _canonical(*best)
 
 
 def _encode(g: Digraph) -> tuple[int, ...]:
@@ -525,7 +550,7 @@ def canonical_form(g: Digraph) -> Digraph:
     """Canonically relabelled copy: isomorphic multi-digraphs map to equal
     values (see `_canonical`).  The cache holds states, not `Digraph`
     values, so every call returns a fresh value."""
-    return _decode(_canonical(_encode(g)))
+    return _decode(_canonical(*_encode(g)))
 
 
 def _closure_children(state: tuple[int, ...]) -> set[tuple[int, ...]]:
@@ -568,18 +593,19 @@ def _closure_children(state: tuple[int, ...]) -> set[tuple[int, ...]]:
 
 
 @lru_cache(maxsize=65536)
-def _canonical_children(state: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+def _canonical_children(*state: int) -> tuple[tuple[int, ...], ...]:
     """The distinct canonical states of the children of the canonical state
-    `state` (`_closure_children`, `_canonical`).  The process-wide cache
-    means that a minor shared by several hosts is expanded once, and its
-    entries are the canonical cache's own tuples."""
-    return tuple({_canonical(child) for child in _closure_children(state)})
+    `state` (`_closure_children`, `_canonical`), called unpacked as
+    `_canonical` is.  The process-wide cache means that a minor shared by
+    several hosts is expanded once, and its entries are the canonical
+    cache's own tuples."""
+    return tuple({_canonical(*child) for child in _closure_children(state)})
 
 
 # On a 2-vCPU VM a random 6-vertex tournament's closure (seed 0, 13,056
-# minors) takes about 5.4 s with cold caches, and a random 7-vertex one did not
+# minors) takes about 2.7 s with cold caches, and a random 7-vertex one did not
 # finish within 90 s.  A second 6-vertex tournament right after it (seed 1,
-# 11,200 minors) takes about 1.8 s, since the two share most small minors.
+# 11,200 minors) takes about 0.85 s, since the two share most small minors.
 # Digons make six vertices far costlier: seed 0's tournament with the reverses
 # of its first two edges added has 67,489 minors and closed in 31.8 s, and
 # with four added it did not finish within 100 s.  So the search also stops
@@ -592,29 +618,64 @@ CLOSURE_MAX_VERTICES = 6
 CLOSURE_MAX_MINORS = 50_000
 
 
-def closure_oracle(g: Digraph) -> frozenset[Digraph]:
+class MinorClosure(Set):
+    """The read-only set of canonical minors that `closure_oracle` returns,
+    held as canonical states; a `Digraph` is built only when iterated.
+
+    It answers as the frozenset of decoded members would: a member is a
+    `Digraph` (not a subclass) whose edges are in sorted order and whose
+    state is held, `len` counts the states, and `==`, `<=` and the other
+    comparisons work against any set of `Digraph` values.  Set operators
+    return a frozenset.  It is not hashable."""
+
+    __slots__ = ("_states",)
+
+    def __init__(self, states: set[tuple[int, ...]]):
+        self._states = states
+
+    def __len__(self) -> int:
+        return len(self._states)
+
+    def __iter__(self):
+        return map(_decode, self._states)
+
+    def __contains__(self, g) -> bool:
+        if type(g) is not Digraph:
+            return False
+        n = g.vertex_count
+        ids = [t * n + h for t, h in g.edges]
+        return ids == sorted(ids) and (n, *ids) in self._states
+
+    @classmethod
+    def _from_iterable(cls, values) -> frozenset:
+        return frozenset(values)
+
+
+def closure_oracle(g: Digraph) -> MinorClosure:
     """All minors of g, as canonical forms, by breadth-first search over
     single operations: delete an edge, delete a vertex, or contract a
     strongly-connected induced subdigraph on >= 2 vertices.
 
     The search runs on canonical states (`_canonical`) and expands each one
-    through `_canonical_children`, whose cache a later host shares;
-    `Digraph` values are built only for the returned set.  Every operation
-    lowers |V| + |E|, so the search ends on its own.  Hosts with more than
-    `CLOSURE_MAX_VERTICES` vertices raise ValueError, and so does a search
-    the moment it holds more than `CLOSURE_MAX_MINORS` canonical minors.
+    through `_canonical_children`, whose cache a later host shares.  It
+    returns a `MinorClosure` over the canonical states it reached, so
+    membership tests build no `Digraph`; iterating it builds one per member.
+    Every operation lowers |V| + |E|, so the search ends on its own.  Hosts
+    with more than `CLOSURE_MAX_VERTICES` vertices raise ValueError, and so
+    does a search the moment it holds more than `CLOSURE_MAX_MINORS`
+    canonical minors.
     """
     if g.vertex_count > CLOSURE_MAX_VERTICES:
         raise ValueError(
             f"closure_oracle is guarded to hosts with at most {CLOSURE_MAX_VERTICES} vertices"
         )
-    start = _canonical(_encode(g))
+    start = _canonical(*_encode(g))
     seen = {start}
     frontier = [start]
     while frontier:
         fresh = []
         for state in frontier:
-            for child in _canonical_children(state):
+            for child in _canonical_children(*state):
                 if child not in seen:
                     seen.add(child)
                     if len(seen) > CLOSURE_MAX_MINORS:
@@ -622,7 +683,7 @@ def closure_oracle(g: Digraph) -> frozenset[Digraph]:
                                          f"{CLOSURE_MAX_MINORS} minors")
                     fresh.append(child)
         frontier = fresh
-    return frozenset(map(_decode, seen))
+    return MinorClosure(seen)
 
 
 def find_subdigraph_embedding(h: Digraph, g: Digraph) -> tuple[int, ...] | None:

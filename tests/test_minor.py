@@ -2,6 +2,7 @@ import functools
 import itertools
 import json
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -125,16 +126,20 @@ class TestFindMinor:
 
     # (pattern, host, smallest budget that completes, found): the exact
     # count the CLI `minor --budget` relies on, placements tried plus the
-    # C(n, size) subsets charged for each size of strong set built
+    # C(n, size) subsets charged for each size of strong set built, plus,
+    # for a pattern loop, each edge combination `loop_capacity` tests
     PINNED_BUDGETS = [
         (gen_random_tournament(5, seed=1), gen_random_tournament(7, seed=2), 301, False),
         (gen_random_tournament(4, seed=3), gen_random_tournament(6, seed=4), 17, True),
         (gen_random_tournament(6, seed=5), gen_random_tournament(7, seed=6), 35, False),
+        # 40 placements and subsets, and 20 edge combinations tested on 9
+        # branch sets for the loop's spare edge
         (Digraph(2, ((0, 0), (0, 1), (0, 1), (1, 0))),
-         gen_random_digraph(5, seed=8, p=0.6), 40, True),
+         gen_random_digraph(5, seed=8, p=0.6), 60, True),
+        # 99 placements and subsets, and 130 combinations on 6 branch sets
         (Digraph(3, ((0, 0), (0, 1), (0, 1), (1, 2), (2, 0))),
          Digraph(6, ((0, 1), (1, 0), (0, 1), (1, 1), (1, 2), (2, 3), (3, 1), (2, 2),
-                     (3, 4), (4, 5), (5, 3), (4, 0), (5, 2), (0, 5))), 99, True),
+                     (3, 4), (4, 5), (5, 3), (4, 0), (5, 2), (0, 5))), 229, True),
         # the look-ahead cuts this absent pair from 12,960 placements to
         # 3,739, plus 255 subsets charged for sizes 1-4
         (gen_random_tournament(6, seed=7), gen_random_tournament(9, seed=8), 3994, False),
@@ -149,6 +154,18 @@ class TestFindMinor:
         assert (find_minor(h, g, budget=budget) is not None) == found
         with pytest.raises(BudgetExceededError, match=f"budget of {budget - 1} placements"):
             find_minor(h, g, budget=budget - 1)
+
+    def test_budget_charges_the_spare_edge_search(self):
+        # twenty loops need a branch set with twenty spare edges; finding a
+        # set's connecting edges tries many edge combinations, each counted
+        # against the budget, so the query stops long before the seconds
+        # the whole search takes
+        h = Digraph(1, ((0, 0),) * 20)
+        g = gen_random_tournament(8, seed=4)
+        started = time.perf_counter()
+        with pytest.raises(BudgetExceededError, match="budget of 1000 placements"):
+            find_minor(h, g, budget=1000)
+        assert time.perf_counter() - started < 0.1
 
     def test_loop_pattern(self):
         h = Digraph(1, ((0, 0),))
@@ -720,6 +737,79 @@ class TestEncodedClosure:
             g = _random_multidigraph(rng, rng.randint(1, 6), rng.randint(0, 12))
             assert canonical_form(g).edges == _reference_canonical_form(g).edges, g
 
+    def test_canonical_on_every_small_state(self):
+        # every state on at most 3 vertices with at most 4 edge ids, loops
+        # and parallel edges included, and every loopless simple digraph on
+        # 4 vertices: refinement that ends with n classes and refinement
+        # that needs the permutation products
+        canonical = minor._canonical.__wrapped__
+        states = [(n, *ids) for n in range(4) for m in range(5)
+                  for ids in itertools.combinations_with_replacement(range(n * n), m)]
+        pairs = [(t, h) for t in range(4) for h in range(4) if t != h]
+        states += [minor._encode(Digraph(4, tuple(p for i, p in enumerate(pairs) if bits >> i & 1)))
+                   for bits in range(1 << len(pairs))]
+        assert len(states) == 1 + 5 + 70 + 715 + 4096
+        for state in states:
+            n, ids = state[0], state[1:]
+            g = Digraph(n, tuple(divmod(e, n) for e in ids))
+            assert canonical(*state) == minor._encode(_reference_canonical_form(g)), state
+
+
+class TestMinorClosure:
+    """closure_oracle returns a read-only set over canonical states that
+    answers as the frozenset of decoded `Digraph` values did."""
+
+    HOSTS = [Digraph(0, ()), Digraph(1, ((0, 0), (0, 0))), gen_cycle(3),
+             gen_random_tournament(4, seed=6),
+             Digraph(4, ((0, 1), (1, 0), (1, 2), (2, 3), (3, 1), (3, 3), (0, 1)))]
+
+    @pytest.mark.parametrize("g", HOSTS)
+    def test_answers_as_the_frozenset_of_members(self, g):
+        closure = closure_oracle(g)
+        reference = _reference_closure(g)
+        assert len(closure) == len(reference)
+        assert closure == reference and reference == closure
+        assert closure <= reference and reference <= closure
+        assert closure >= reference and reference >= closure
+        assert not closure < reference and not reference < closure
+        assert frozenset(closure) == reference
+        for member in closure:
+            assert type(member) is Digraph and member == canonical_form(member)
+            assert member in closure and member in reference
+
+    def test_strict_subsets_and_operators(self):
+        big = closure_oracle(gen_random_tournament(4, seed=6))
+        small = closure_oracle(gen_cycle(3))
+        assert small < big and big > small and small != big
+        assert _reference_closure(gen_cycle(3)) < big
+        assert small | big == big and small & big == small
+        assert type(small & big) is frozenset and type(big - small) is frozenset
+
+    def test_membership_is_that_of_the_decoded_members(self):
+        closure = closure_oracle(gen_cycle(3))
+        path = canonical_form(Digraph(2, ((0, 1),)))
+        assert path in closure and len(path.edges) == 1
+        cycle = canonical_form(gen_cycle(3))
+        assert cycle in closure
+        # the same edges in another order make a Digraph the old frozenset
+        # did not hold, since Digraph equality compares the edge tuples
+        unsorted = Digraph(3, tuple(reversed(cycle.edges)))
+        assert unsorted.edges != cycle.edges and unsorted not in closure
+        assert unsorted not in frozenset(closure)
+        assert None not in closure and (3, 1, 5, 6) not in closure
+        assert minor._encode(cycle) not in closure
+
+        class Labelled(Digraph):
+            pass
+
+        assert Labelled(cycle.vertex_count, cycle.edges) not in closure
+
+    def test_is_read_only_and_not_hashable(self):
+        closure = closure_oracle(gen_cycle(3))
+        assert not hasattr(closure, "add") and not hasattr(closure, "__dict__")
+        with pytest.raises(TypeError):
+            hash(closure)
+
 
 def _clear_closure_caches():
     minor._canonical.cache_clear()
@@ -775,16 +865,16 @@ class TestClosureMemo:
         keys = []
         expand = minor._canonical_children
 
-        def recording(state):
+        def recording(*state):
             keys.append(state)
-            return expand(state)
+            return expand(*state)
 
         _clear_closure_caches()
         monkeypatch.setattr(minor, "_canonical_children", recording)
         rng = random.Random("memo-keys")
         for _ in range(20):
             closure_oracle(_random_multidigraph(rng, rng.randint(2, 5), rng.randint(1, 8)))
-        assert all(minor._canonical(key) == key for key in keys)
+        assert all(minor._canonical(*key) == key for key in keys)
         info = expand.cache_info()
         assert info.hits and info.currsize == len(set(keys))
 
