@@ -13,6 +13,7 @@ code and output text; only `main` parses, writes and maps errors to codes.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import os
@@ -53,16 +54,7 @@ def _cmd_gen(args) -> tuple[int, str]:
 
 def _cmd_classify(args) -> tuple[int, str]:
     c = classify(_load_digraph(args.graph))
-    return 0, json.dumps(
-        {
-            "schema": "digraph-class/1",
-            "simple": c.simple,
-            "semi_complete": c.semi_complete,
-            "tournament": c.tournament,
-            "acyclic": c.acyclic,
-            "stability_number": c.stability_number,
-        }
-    ) + "\n"
+    return 0, json.dumps({"schema": "digraph-class/1", **dataclasses.asdict(c)}) + "\n"
 
 
 def _cmd_pathwidth(args) -> tuple[int, str]:

@@ -298,17 +298,25 @@ def contract(g: Digraph, h: Subdigraph) -> tuple[Digraph, int]:
     """
     if not is_strongly_connected(g, h):
         raise ValueError("contraction requires a strongly-connected subdigraph")
-    inside = h.vertices
-    keep = [v for v in range(g.vertex_count) if v not in inside]
-    remap = {v: i for i, v in enumerate(keep)}
-    w = len(keep)
-    edges = []
-    for t, hd in g.edges:
-        tin, hin = t in inside, hd in inside
-        if tin and hin:
-            continue
-        edges.append((w if tin else remap[t], w if hin else remap[hd]))
-    return Digraph(w + 1, tuple(edges)), w
+    mask = sum(1 << v for v in h.vertices)
+    new = _contracted_ids(g.vertex_count, mask)
+    w = g.vertex_count - len(h.vertices)
+    edges = tuple((new[t], new[hd]) for t, hd in g.edges
+                  if not (mask >> t & 1 and mask >> hd & 1))
+    return Digraph(w + 1, edges), w
+
+
+def _contracted_ids(n: int, mask: int) -> list[int]:
+    """The new id of each vertex 0..n-1 when the vertex bitmask `mask` is
+    contracted: the other vertices keep their order and are numbered from
+    0, and every vertex of `mask` gets the next id, the merged vertex's."""
+    ids = [n - mask.bit_count()] * n
+    kept = 0
+    for v in range(n):
+        if not mask >> v & 1:
+            ids[v] = kept
+            kept += 1
+    return ids
 
 
 def delete_vertex(g: Digraph, v: int) -> Digraph:

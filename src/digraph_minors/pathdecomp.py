@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from .core import (
     Digraph,
     Subdigraph,
+    _contracted_ids,
     is_semi_complete,
     is_strongly_connected,
 )
@@ -315,7 +316,7 @@ def normalize(g: Digraph, p: PathDecomposition) -> PathDecomposition:
     First and last bags are unchanged and the maximum bag size cannot grow.
     """
     if not verify(g, p).valid:
-        raise ValueError("cannot normalize an invalid decomposition")
+        raise ValueError("input decomposition is invalid")
     bags = [p.bags[0]]
     for nxt in p.bags[1:]:
         if nxt == bags[-1]:
@@ -459,8 +460,9 @@ def transform_delete_edge(g: Digraph, p: PathDecomposition, index: int) -> PathD
 def transform_under_contraction(
     g: Digraph, p: PathDecomposition, h: Subdigraph
 ) -> PathDecomposition:
-    """Decomposition of contract(g, h) obtained by replacing the contracted
-    vertices with w inside the interval of bags they touch."""
+    """Decomposition of contract(g, h): every bag renumbered as `contract`
+    numbers the vertices, so the contracted vertices become w in exactly
+    the bags they touch, which form an interval."""
     if not is_strongly_connected(g, h):
         raise ValueError("contraction requires a strongly-connected subdigraph")
     if not verify(g, p).valid:
@@ -468,18 +470,8 @@ def transform_under_contraction(
     touched = [i for i, bag in enumerate(p.bags) if bag & h.vertices]
     if touched != list(range(touched[0], touched[-1] + 1)):
         raise RuntimeError("bags meeting the contracted set do not form an interval")
-    inside = h.vertices
-    keep = [v for v in range(g.vertex_count) if v not in inside]
-    remap = {v: i for i, v in enumerate(keep)}
-    w = len(keep)
-    lo, hi = touched[0], touched[-1]
-    bags = []
-    for i, bag in enumerate(p.bags):
-        newbag = {remap[v] for v in bag if v not in inside}
-        if lo <= i <= hi:
-            newbag.add(w)
-        bags.append(frozenset(newbag))
-    return PathDecomposition(tuple(bags))
+    new = _contracted_ids(g.vertex_count, sum(1 << v for v in h.vertices))
+    return PathDecomposition(tuple(frozenset(new[v] for v in bag) for bag in p.bags))
 
 
 def build_linked(g: Digraph, p: PathDecomposition, a, b) -> PathDecomposition:
@@ -507,14 +499,12 @@ def build_linked(g: Digraph, p: PathDecomposition, a, b) -> PathDecomposition:
     p = PathDecomposition(tuple(bags))
     if p.first != a or p.last != b:
         raise ValueError("decomposition end bags do not match the requested a, b")
-    if not verify(g, p).valid:
-        raise ValueError("input decomposition is invalid")
+    k = p.max_bag
+    # normalize refuses an invalid input, bag ids out of range included
+    p = normalize(g, p)
     m = len(a)
     if m and len(_max_flow(g, a, b, limit=m)[0]) < m:
         raise ValueError(f"fewer than {m} vertex-disjoint paths from a to b")
-
-    k = p.max_bag
-    p = normalize(g, p)
     measure = LexMeasure.of(p, k)
     rounds = 0
     while True:

@@ -1,4 +1,5 @@
 import contextlib
+import inspect
 import io
 import itertools
 import json
@@ -150,6 +151,18 @@ class TestLinked:
         assert code == 0
         data = json.loads(out)
         assert data["bags"][0] == [0] and data["bags"][-1] == [1]
+
+    @pytest.mark.parametrize("payload, first, last, message", [
+        ('{"bags": [[0, 5], [0, 1]]}', "0,5", "0,1", "bag vertex 5 out of range"),
+        # vertex 1 is missing, and no path leaves the sink 2
+        ('{"bags": [[2], [0]]}', "2", "0", "input decomposition is invalid"),
+    ])
+    def test_bad_input_refused_before_the_end_bags_flow(self, capsys, tmp_path, payload,
+                                                        first, last, message):
+        graph = write_graph(tmp_path, "g.txt", "3 3\n0 1\n1 2\n0 2\n")
+        decomp = write_graph(tmp_path, "d.json", payload)
+        code, out, err = run(capsys, "linked", graph, decomp, "--first", first, "--last", last)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
     def test_linked_output_verifies(self, capsys, tmp_path):
         graph = write_graph(tmp_path, "g.txt", "3 3\n0 1\n1 2\n2 0\n")
@@ -643,7 +656,7 @@ def experiment_argvs(draw):
 
 def test_experiment_values_cover_every_experiment():
     assert {name: set(values) for name, values in EXPERIMENT_VALUES.items()} == {
-        name: set(spec) for name, (_, spec) in EXPERIMENTS.items()}
+        name: set(inspect.signature(fn).parameters) for name, fn in EXPERIMENTS.items()}
 
 
 @settings(max_examples=100)

@@ -98,8 +98,11 @@ class TestFindMinor:
             assert m is not None and verify_mapping(g, g, m).ok
 
     def test_null_pattern(self):
-        m = find_minor(Digraph(0, ()), gen_cycle(3))
-        assert m is not None and verify_mapping(Digraph(0, ()), gen_cycle(3), m).ok
+        empty = Digraph(0, ())
+        for g in (gen_cycle(3), empty):
+            for budget in (None, 0):
+                m = find_minor(empty, g, budget=budget)
+                assert m == MinorMapping((), ()) and verify_mapping(empty, g, m).ok
 
     def test_cycle_not_in_acyclic_host(self):
         assert find_minor(gen_cycle(3), gen_transitive(10)) is None
@@ -579,6 +582,23 @@ class TestCanonicalForm:
         for a, b in itertools.combinations(forms, 2):
             if a.vertex_count == b.vertex_count and len(a.edges) == len(b.edges):
                 assert not (isomorphic(a, b) and isomorphic(b, a))
+
+    def test_relabelling_cap(self):
+        # refinement cannot split a cycle or an edgeless digraph, so each
+        # needs n! relabellings: 9! is the cap, and past it the refusal
+        # comes before any relabelling is tried
+        for g in (gen_cycle(10), Digraph(12, ())):
+            start = time.perf_counter()
+            with pytest.raises(ValueError, match="at most 362880 relabellings"):
+                canonical_form(g)
+            assert time.perf_counter() - start < 0.5
+        assert canonical_form(gen_cycle(9)).vertex_count == 9
+
+    def test_relabelling_cap_is_read_per_call(self, monkeypatch):
+        monkeypatch.setattr(minor, "CANONICAL_MAX_RELABELLINGS", 5)
+        minor._canonical.cache_clear()
+        with pytest.raises(ValueError, match="at most 5 relabellings"):
+            canonical_form(gen_cycle(4))
 
 
 class TestClosureOracle:

@@ -37,6 +37,7 @@ from digraph_minors.pathdecomp import (
     transform_under_contraction,
     verify,
 )
+from digraph_minors.minor import _strong_level
 from digraph_minors.experiments import (
     all_semi_complete,
     all_tournaments,
@@ -299,6 +300,69 @@ class TestTransforms:
         _, p = exact_pathwidth(g)
         with pytest.raises(ValueError):
             transform_under_contraction(g, p, Subdigraph.induced(g, {0, 1}))
+
+
+def _contract_reference(g, h):
+    """The reference for `core.contract`: the same contraction, with its own
+    copy of the numbering."""
+    inside = h.vertices
+    keep = [v for v in range(g.vertex_count) if v not in inside]
+    remap = {v: i for i, v in enumerate(keep)}
+    w = len(keep)
+    edges = []
+    for t, hd in g.edges:
+        tin, hin = t in inside, hd in inside
+        if tin and hin:
+            continue
+        edges.append((w if tin else remap[t], w if hin else remap[hd]))
+    return Digraph(w + 1, tuple(edges)), w
+
+
+def _transform_reference(g, p, h):
+    """The reference for `transform_under_contraction`: w added by hand to
+    the interval of bags that meet the contracted set."""
+    touched = [i for i, bag in enumerate(p.bags) if bag & h.vertices]
+    inside = h.vertices
+    keep = [v for v in range(g.vertex_count) if v not in inside]
+    remap = {v: i for i, v in enumerate(keep)}
+    w = len(keep)
+    lo, hi = touched[0], touched[-1]
+    out = []
+    for i, bag in enumerate(p.bags):
+        newbag = {remap[v] for v in bag if v not in inside}
+        if lo <= i <= hi:
+            newbag.add(w)
+        out.append(frozenset(newbag))
+    return PathDecomposition(tuple(out))
+
+
+def _edge_subsets(n, loops):
+    pairs = [(t, h) for t in range(n) for h in range(n) if loops or t != h]
+    for bits in range(1 << len(pairs)):
+        yield [e for i, e in enumerate(pairs) if bits >> i & 1]
+
+
+def test_contraction_numbering_matches_the_reference_exhaustively():
+    # every digraph on at most 3 vertices, loops included, and every
+    # loopless one on 4, contracted at each strong vertex set that the
+    # closure contracts (and at each single vertex)
+    graphs = [Digraph(n, tuple(edges))
+              for n in range(4) for edges in _edge_subsets(n, loops=True)]
+    graphs += [Digraph(4, tuple(edges)) for edges in _edge_subsets(4, loops=False)]
+    contracted = 0
+    for g in graphs:
+        n = g.vertex_count
+        loopless = all(t != hd for t, hd in g.edges)
+        p = exact_pathwidth(g)[1] if loopless else None
+        for size in range(1, n + 1):
+            for mask in _strong_level(n, g.out_mask, g.in_mask, size):
+                h = Subdigraph.induced(g, [v for v in range(n) if mask >> v & 1])
+                assert contract(g, h) == _contract_reference(g, h), (g, mask)
+                if p is not None:
+                    assert (transform_under_contraction(g, p, h)
+                            == _transform_reference(g, p, h)), (g, mask)
+                contracted += 1
+    assert contracted == 30_844
 
 
 class TestBuildLinked:
