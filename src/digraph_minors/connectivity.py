@@ -105,10 +105,18 @@ def _max_flow(
     unused split arc, else pred[v]'s out-node; from v_out the used split arc,
     then the heads in ascending order.  The first b-vertex's out-node ends it.
 
+    Before the first search, each vertex of a ∩ b in ascending order becomes
+    a zero-length path (pred and succ -1).  The first |a ∩ b| searches would
+    find exactly these paths in this order, and no later search reroutes one:
+    its in-node leads only back to the source, and no residual arc enters its
+    out-node.
+
     Returns the flow paths by ascending first vertex, and the reach of the
     last, failed search: masks of the vertices whose in- and out-node it saw.
     With a limit, the flow stops after that many augmentations: it has
     min(limit, kappa) paths, and the reach is a cut only if it has fewer.
+    When the shared vertices alone meet the limit, no search runs and the
+    reach is empty.
     """
     n = g.vertex_count
     outs = [mask & ~(1 << v) for v, mask in enumerate(g.out_mask)]
@@ -118,6 +126,12 @@ def _max_flow(
     pred: list[int | None] = [None] * n
     succ: list[int | None] = [None] * n
     seen_in = seen_out = augmented = 0
+    for v in starts:
+        if augmented == limit:
+            break
+        if sinks >> v & 1:
+            pred[v] = succ[v] = -1
+            augmented += 1
     while augmented != limit:
         parent = [-1] * (2 * n)
         queue = [2 * v for v in starts]

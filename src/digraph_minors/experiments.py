@@ -433,5 +433,8 @@ def run_experiment(name: str, **params) -> dict:
     for key, value in params.items():
         if key not in accepted:
             raise ValueError(f"experiment {name!r} takes no parameter {key!r}")
-        params[key] = int(value)
+        try:
+            params[key] = int(value)
+        except ValueError:
+            raise ValueError(f"parameter {key!r} must be an integer, got {value!r}") from None
     return fn(**params)

@@ -173,26 +173,26 @@ def _linked_violation(g: Digraph, bags) -> tuple[int, int, int] | None:
     vertex in W_i, such a path keeps only vertices x with last(x) < i before
     it; mirrored, cut at its last vertex in W_i, it keeps only vertices with
     first(x) > i after it.  So kappa(h, j), the most disjoint W_h -> W_j
-    paths, can only fall as h moves down or j moves up; and with |W_i| = t,
-    t disjoint W_h -> W_i paths and t disjoint W_i -> W_j paths join at W_i
-    into t disjoint W_h -> W_j paths.
+    paths, can only fall as h moves down or j moves up.
 
     The check at bag i, with t = |W_i| > 0 and [L_i, R_i] the widest window
-    around i whose bags all hold at least t vertices, tests kappa(L_i, i) >= t
-    and kappa(i, R_i) >= t: at most 2r flows, each stopped after t paths, and
-    none where the two bags share t vertices.
-    (A) If [h, j] fails and i is a smallest bag in it, then L_i <= h and the
-        check at i fails: else its two halves join into t W_h -> W_j paths.
-    (B) If the check at i fails, then [L_i, R_i] fails, by monotonicity.
+    around i whose bags all hold at least t vertices, tests kappa(L_i, R_i)
+    >= t.  Bags with the same window share its t, so there is at most one
+    flow per distinct window, r in all, each stopped after t paths, and none
+    where its end bags share t vertices, as they do when L_i = R_i.
+    (A) If [h, j] fails and i is a smallest bag in it, then [h, j] lies in
+        [L_i, R_i], so L_i <= h and the check at i fails, by monotonicity.
+    (B) If the check at i fails, then [L_i, R_i], whose minimum is t, fails.
     So the decomposition is linked iff every check passes, and the first
     failing h is the least L_i over the failing checks.  For that h,
     kappa(h, j) and the minimum t fall as j grows, so the failing j of a run
     of constant t form a suffix: test each run's last j, and binary-search
-    the first run that fails.
+    the first run that fails.  A decomposition that is not linked costs at
+    most r checks, r - 1 runs and r.bit_length() search steps.
     """
     sizes = [len(bag) for bag in bags]
     r = len(bags)
-    checks = []
+    windows = set()
     for i, t in enumerate(sizes):
         if t == 0:
             continue
@@ -201,10 +201,10 @@ def _linked_violation(g: Digraph, bags) -> tuple[int, int, int] | None:
             lo -= 1
         while hi + 1 < r and sizes[hi + 1] >= t:
             hi += 1
-        checks.append((lo, i, hi, t))
-    for h, i, hi, t in sorted(checks):
-        if any(len(a & b) < t and len(_max_flow(g, a, b, limit=t)[0]) < t
-               for a, b in ((bags[h], bags[i]), (bags[i], bags[hi]))):
+        windows.add((lo, hi, t))
+    for h, hi, t in sorted(windows):
+        a, b = bags[h], bags[hi]
+        if len(a & b) < t and len(_max_flow(g, a, b, limit=t)[0]) < t:
             break
     else:
         return None
@@ -541,10 +541,11 @@ def build_linked(g: Digraph, p: PathDecomposition, a, b) -> PathDecomposition:
             extra = {pl for pl, cp in zip(pinch, c_side) if p.bags[i] & cp}
             new_bags.append(frozenset(bag | extra))
         candidate = PathDecomposition(tuple(new_bags))
-        report = verify(g, candidate)
-        assert report.valid, "window repair produced an invalid decomposition"
+        try:
+            p = normalize(g, candidate)
+        except ValueError:
+            raise AssertionError("window repair produced an invalid decomposition") from None
         assert candidate.max_bag <= k
-        p = normalize(g, candidate)
         new_measure = LexMeasure.of(p, k)
         assert new_measure.counts > measure.counts, "lex measure failed to increase"
         measure = new_measure

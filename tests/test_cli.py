@@ -351,6 +351,14 @@ def test_experiment_parameter_out_of_range_exit_2(capsys, name, param):
     assert len(lines) == 1 and lines[0].startswith("error: ") and param.split("=")[0] in lines[0]
 
 
+@pytest.mark.parametrize("param", ["n=x", "n=", "samples=1.5"])
+def test_experiment_parameter_not_an_integer_exit_2(capsys, param):
+    key, value = param.split("=")
+    code, out, err = run(capsys, "experiment", "oracle-equivalence", "--param", param)
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [f"error: parameter {key!r} must be an integer, got {value!r}"]
+
+
 @pytest.mark.parametrize("param", ["j=1", "j=6"])
 def test_stability_j_refused_before_any_search(capsys, monkeypatch, param):
     def search(*args):

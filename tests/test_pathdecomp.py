@@ -20,9 +20,11 @@ from digraph_minors.core import (
 )
 from digraph_minors.connectivity import (
     PathSystem,
+    Separation,
     _max_flow,
     is_valid_path_system,
     max_disjoint_paths,
+    min_separation,
 )
 from digraph_minors import pathdecomp
 from digraph_minors.pathdecomp import (
@@ -425,6 +427,19 @@ class TestBuildLinked:
             assert lp.max_bag <= p.max_bag
             assert lp.r - 1 == 2 * (n - lp.min_bag)
 
+    def test_invalid_repair_fails_loudly(self, monkeypatch):
+        # with the sides of its separation swapped, the window repair builds
+        # an invalid decomposition, which the repair loop must refuse
+        def swapped(g, a, b):
+            sep = min_separation(g, a, b)
+            return Separation(sep.d, sep.c, sep.order)
+
+        monkeypatch.setattr(pathdecomp, "min_separation", swapped)
+        g = gen_random_tournament(7, seed=0)
+        p = random_order_decomposition(g, random.Random(0))
+        with pytest.raises(AssertionError, match="window repair produced an invalid"):
+            build_linked(g, p, frozenset(), frozenset())
+
     def test_mismatched_ends_rejected(self):
         g = gen_random_tournament(4, seed=1)
         _, p = exact_pathwidth(g)
@@ -545,18 +560,18 @@ class TestLinkedViolation:
         assert is_semi_complete(g) and verify(g, p).valid
         assert _linked_violation(g, p.bags) == full_scan_linked_violation(g, p.bags) == (0, 3, 1)
 
-    def test_at_most_two_flows_per_bag_on_linked_decompositions(self, flow_limits):
+    def test_at_most_one_flow_per_widest_window_on_linked_decompositions(self, flow_limits):
         passes = 0
         for g, p in linked_check_cases(80, seed=29):
             flow_limits.clear()
             if _linked_violation(g, p.bags) is None:
                 passes += 1
-                assert len(flow_limits) <= 2 * p.r
+                assert len(flow_limits) <= len(widest_windows(p.bags)) <= p.r
                 assert all(limit is not None for limit in flow_limits)
         assert passes >= 40
 
     def test_one_window_search_on_failing_decompositions(self, flow_limits):
-        # at most 2r checks, then for one h a flow per run of equal window
+        # at most r checks, then for one h a flow per run of equal window
         # minimum and a binary search.  The staircase of prefix bags before an
         # empty one passes its checks without a flow, while a search of every
         # h before the failing window {10} -> {11} would pay a flow per run.
@@ -569,8 +584,21 @@ class TestLinkedViolation:
             flow_limits.clear()
             if _linked_violation(g, p.bags) is not None:
                 failures += 1
-                assert len(flow_limits) <= 3 * p.r + p.r.bit_length()
+                assert len(flow_limits) <= 2 * p.r + p.r.bit_length()
         assert failures >= 40
+
+
+def widest_windows(bags):
+    """The distinct windows [L_i, R_i] over the nonempty bags i: the widest
+    window around i whose bags all hold at least |W_i| vertices."""
+    sizes = [len(bag) for bag in bags]
+    windows = set()
+    for i, t in enumerate(sizes):
+        if t:
+            lo = max((j + 1 for j in range(i) if sizes[j] < t), default=0)
+            hi = min((j for j in range(i, len(sizes)) if sizes[j] < t), default=len(sizes))
+            windows.add((lo, hi - 1))
+    return windows
 
 
 @pytest.fixture
@@ -599,7 +627,90 @@ def flow_cases():
         yield g, a, b
 
 
+def search_only_max_flow(g, a, b, limit=None):
+    """Reference for _max_flow: the same flow before the vertices of a ∩ b
+    were taken as zero-length paths ahead of the first search."""
+    n = g.vertex_count
+    outs = [mask & ~(1 << v) for v, mask in enumerate(g.out_mask)]
+    starts = sorted(set(a))
+    sources = sum(1 << v for v in starts)
+    sinks = sum(1 << v for v in set(b))
+    pred = [None] * n
+    succ = [None] * n
+    seen_in = seen_out = augmented = 0
+    while augmented != limit:
+        parent = [-1] * (2 * n)
+        queue = [2 * v for v in starts]
+        seen_in, seen_out = sources, 0
+        for node in queue:
+            v = node >> 1
+            if not node & 1:
+                p = v if pred[v] is None else pred[v]
+                if p >= 0 and not seen_out >> p & 1:
+                    seen_out |= 1 << p
+                    parent[2 * p + 1] = node
+                    queue.append(2 * p + 1)
+                continue
+            if sinks >> v & 1:
+                break
+            if succ[v] is not None and not seen_in >> v & 1:
+                seen_in |= 1 << v
+                parent[node - 1] = node
+                queue.append(node - 1)
+            heads = outs[v] & ~seen_in
+            seen_in |= heads
+            while heads:
+                low = heads & -heads
+                heads ^= low
+                h_in = 2 * low.bit_length() - 2
+                parent[h_in] = node
+                queue.append(h_in)
+        else:
+            break
+        augmented += 1
+        succ[v] = -1
+        node = 2 * v + 1
+        while node >= 0:
+            prev = parent[node]
+            v, u = node >> 1, prev >> 1
+            if prev < 0:
+                pred[v] = -1
+            elif u != v and node & 1:
+                if pred[u] == v:
+                    pred[u] = None
+                if succ[v] == u:
+                    succ[v] = None
+            elif u != v:
+                succ[u], pred[v] = v, u
+            node = prev
+    paths = []
+    for v in starts:
+        if pred[v] == -1:
+            path = [v]
+            while succ[path[-1]] != -1:
+                path.append(succ[path[-1]])
+            paths.append(tuple(path))
+    return tuple(paths), (seen_in, seen_out)
+
+
 class TestCappedFlow:
+    def test_shared_vertices_keep_the_search_only_paths(self):
+        # the paths match at every limit; the reach does too, except that no
+        # search runs, and the reach is empty, when a ∩ b alone meets the limit
+        met_by_shared = 0
+        for g, a, b in flow_cases():
+            kappa = len(_max_flow(g, a, b)[0])
+            for limit in (None, *range(kappa + 2)):
+                paths, reach = _max_flow(g, a, b, limit=limit)
+                expected, expected_reach = search_only_max_flow(g, a, b, limit=limit)
+                assert paths == expected
+                if limit is not None and len(a & b) >= limit:
+                    met_by_shared += limit > 0
+                    assert reach == (0, 0)
+                else:
+                    assert reach == expected_reach
+        assert met_by_shared >= 50
+
     def test_limit_caps_the_path_count(self):
         for g, a, b in flow_cases():
             paths, _ = _max_flow(g, a, b)
