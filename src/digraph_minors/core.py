@@ -251,6 +251,8 @@ def _strongly_connected(out, inn, mask: int) -> bool:
 def _edges_strongly_connected(edges, mask: int) -> bool:
     """True iff the bitmask `mask` is non-empty and strongly connected along
     `edges` alone, (tail, head) pairs with both ends in `mask`."""
+    if not mask & (mask - 1):  # no vertex or one: strong iff one, whatever its loops
+        return mask != 0
     out = [0] * mask.bit_length()
     inn = out.copy()
     for t, h in edges:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import inspect
 import random
 import time
+from itertools import islice
 
 from .core import (
     Digraph,
@@ -24,7 +25,7 @@ from .core import (
 )
 from .minor import (
     BudgetExceededError,
-    _strong_level,
+    _strong_levels,
     canonical_form,
     closure_oracle,
     find_minor,
@@ -237,8 +238,8 @@ def counterexample_stability(j: int = 3) -> dict:
     ]
     n = big.vertex_count
     t0 = time.perf_counter()
-    masks = [m for size in range(2, n + 1)
-             for m in _strong_level(n, big.out_mask, big.in_mask, size)]
+    masks = [m for level in islice(_strong_levels(n, big.out_mask, big.in_mask), 1, None)
+             for m, _, _ in level]
     bad = sum(has_two_disjoint_cycles(contract(big, Subdigraph.induced(big, _bits(mask)))[0])
               for mask in masks)
     instances.append(

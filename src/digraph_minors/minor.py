@@ -29,7 +29,7 @@ import json
 from collections.abc import Set
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, combinations, permutations, product
+from itertools import chain, combinations, islice, permutations, product
 from math import comb, factorial, prod
 
 from .core import (
@@ -127,7 +127,7 @@ def verify_mapping(h: Digraph, g: Digraph, m: MinorMapping) -> MappingReport:
         return MappingReport(False, tuple(failures))
     branch_edge_sets: set[int] = set()
     for v, sub in enumerate(m.assignment):
-        if sub.host != g:
+        if sub.host is not g and sub.host != g:
             failures.append(f"branch set of {v} lives in a different host")
             continue
         if not sub.vertices:
@@ -136,9 +136,12 @@ def verify_mapping(h: Digraph, g: Digraph, m: MinorMapping) -> MappingReport:
         if not is_strongly_connected(g, sub):
             failures.append(f"branch set of {v} is not strongly connected")
         branch_edge_sets.update(sub.edge_indices)
-    for u, v in combinations(range(h.vertex_count), 2):
-        if m.assignment[u].vertices & m.assignment[v].vertices:
-            failures.append(f"branch sets of {u} and {v} share vertices")
+    # one union shows disjointness; the pairs are searched only to name them
+    vertex_sets = [sub.vertices for sub in m.assignment]
+    if len(frozenset().union(*vertex_sets)) != sum(map(len, vertex_sets)):
+        for u, v in combinations(range(h.vertex_count), 2):
+            if vertex_sets[u] & vertex_sets[v]:
+                failures.append(f"branch sets of {u} and {v} share vertices")
     if len(m.edge_witness) != len(h.edges):
         failures.append(
             f"{len(m.edge_witness)} witnesses for {len(h.edges)} pattern edges"
@@ -165,13 +168,105 @@ def verify_mapping(h: Digraph, g: Digraph, m: MinorMapping) -> MappingReport:
     return MappingReport(not failures, tuple(failures))
 
 
-def _strong_level(n: int, out, inn, size: int) -> list[int]:
-    """Vertex bitmasks of the strongly connected induced subdigraphs on
-    exactly `size` of the vertices 0..n-1 of the digraph with adjacency masks
-    `out` and `inn`, in ascending sorted-ids order: the library's one
-    strong-set enumeration."""
-    return [m for m in map(sum, combinations([1 << v for v in range(n)], size))
-            if _strongly_connected(out, inn, m)]
+def _strong_levels(n: int, out, inn):
+    """The strongly connected induced subdigraphs of the digraph on 0..n-1
+    with adjacency masks `out` and `inn`, one level per size 1, 2, ..., n:
+    the library's one strong-set enumeration.  A level is a list of
+    (vertex mask, out-neighbour union, in-neighbour union) in ascending
+    sorted-ids order.  It is a generator, so a caller that stops early never
+    builds the larger levels.
+
+    Each level is read off the digraph's structure where that is exact:
+    - size 1: every vertex;
+    - size 2: the 2-cycles, {u, v} with v in out[u] & inn[u];
+    - size 3: the triples in which each vertex has an out- and an
+      in-neighbour among the other two, which on three vertices is strong
+      connectivity.  On a semi-complete host these are the vertex sets
+      that hold a directed triangle;
+    - size s + 1 >= 4 on a semi-complete host, one whose distinct vertices
+      are pairwise adjacent (loops and parallel edges allowed): S | {v} for
+      each strong S of size s and each v outside S with an in-neighbour and
+      an out-neighbour in S.  Such a set is strong, and every strong set T
+      of that size arises so: T - v is strong for some v of T (below), and
+      v has an in- and an out-neighbour in T - v.  A grown set's unions
+      are its parent's ORed with v's.
+    - size >= 4 on any other host: every subset, tested by
+      `core._strongly_connected`.  A directed 4-cycle has no strong
+      3-subset, so growth would miss sets there.
+
+    The step behind growth (it is what vertex-pancyclicity gives, Moon 1966
+    for tournaments): a strong semi-complete digraph T on m >= 4 vertices
+    has a strong induced subdigraph on m - 1 of them.  Take a largest
+    strong S with S != V(T), and suppose |S| <= m - 2.  Every w outside S
+    is adjacent to all of S, and S | {w} is not strong, so w sends no edge
+    to S (w in A, and all of S -> w) or receives none from it (w in B, and
+    w -> all of S).  As T is strong, S has an edge out, so A is not empty,
+    and a path from A to S enters S from B, so some a in A has an edge to
+    some b in B, and S | {a, b} is strong.  That contradicts the choice of
+    S if |S| <= m - 3.  If |S| = m - 2, then V(T) = S | {a, b}, and T - s
+    is strong for any s in S, through u -> a -> b -> u' for all u, u' in
+    S - s; again a contradiction.  So |S| = m - 1.
+    """
+    if n < 1:
+        return
+    yield [(1 << v, out[v], inn[v]) for v in range(n)]
+    if n < 2:
+        return
+    level = []
+    for u in range(n - 1):
+        both = out[u] & inn[u] & ~((2 << u) - 1)
+        while both:
+            low = both & -both
+            both ^= low
+            v = low.bit_length() - 1
+            level.append((1 << u | low, out[u] | out[v], inn[u] | inn[v]))
+    yield level
+    if n < 3:
+        return
+    level = []
+    for a in range(n - 2):
+        oa, ia = out[a], inn[a]
+        for b in range(a + 1, n - 1):
+            ob, ib = out[b], inn[b]
+            # the c > b whose triple gives each of a, b, c an out- and an
+            # in-neighbour among the other two
+            cs = (ia | ib) & (oa | ob) & ~((2 << b) - 1)
+            if not oa >> b & 1:
+                cs &= oa
+            if not ia >> b & 1:
+                cs &= ia
+            if not ob >> a & 1:
+                cs &= ob
+            if not ib >> a & 1:
+                cs &= ib
+            while cs:
+                low = cs & -cs
+                cs ^= low
+                c = low.bit_length() - 1
+                level.append((1 << a | 1 << b | low, oa | ob | out[c], ia | ib | inn[c]))
+    yield level
+    full = (1 << n) - 1
+    semi_complete = all((out[v] | inn[v] | 1 << v) == full for v in range(n))
+    for size in range(4, n + 1):
+        if semi_complete:
+            grown = {}
+            for mask, out_union, in_union in level:
+                extra = out_union & in_union & ~mask
+                while extra:
+                    low = extra & -extra
+                    extra ^= low
+                    if mask | low not in grown:
+                        v = low.bit_length() - 1
+                        grown[mask | low] = (mask | low, out_union | out[v], in_union | inn[v])
+            # ascending sorted ids: of two sets of one size, the first holds
+            # the lowest vertex of their symmetric difference, so its bits
+            # read from vertex 0 up are the larger string
+            level = sorted(grown.values(), key=lambda entry: bin(entry[0])[:1:-1], reverse=True)
+        else:
+            level = [(m, _neighbour_union(out, m), _neighbour_union(inn, m))
+                     for m in map(sum, combinations([1 << v for v in range(n)], size))
+                     if _strongly_connected(out, inn, m)]
+        yield level
 
 
 def _neighbour_union(adj: tuple[int, ...], mask: int) -> int:
@@ -203,12 +298,17 @@ def _connecting_edges(g: Digraph, mask: int, charge=None) -> tuple[int, ...]:
 def assign_witnesses(h: Digraph, g: Digraph, branch_sets: list[Subdigraph]) -> tuple[int, ...]:
     """Witness per pattern edge (u, v): the next host edge, in id order, from
     the branch set of u to that of v and in no branch edge set."""
-    where = {x: v for v, sub in enumerate(branch_sets) for x in sub.vertices}
+    # where[x]: the pattern vertex whose branch set holds host vertex x, or -1
+    where = [-1] * g.vertex_count
+    for v, sub in enumerate(branch_sets):
+        for x in sub.vertices:
+            where[x] = v
     inside = frozenset().union(*(sub.edge_indices for sub in branch_sets))
     buckets: dict[tuple[int, int], list[int]] = {}
     for i, (t, hd) in enumerate(g.edges):
-        if t in where and hd in where and i not in inside:
-            buckets.setdefault((where[t], where[hd]), []).append(i)
+        u, v = where[t], where[hd]
+        if u >= 0 and v >= 0 and i not in inside:
+            buckets.setdefault((u, v), []).append(i)
     witness = []
     for u, v in h.edges:
         pool = buckets.get((u, v))
@@ -225,7 +325,9 @@ def _build_mapping(h: Digraph, g: Digraph, classes: list[int]) -> MinorMapping:
     keeps only its first smallest connecting edge set."""
     branch_sets = []
     for v, cls in enumerate(classes):
-        if h.multiplicity.get((v, v)) or cls.bit_count() == 1:
+        if not cls & (cls - 1):
+            edge_set = frozenset()
+        elif h.multiplicity.get((v, v)):
             edge_set = frozenset(_connecting_edges(g, cls))
         else:
             edge_set = frozenset(i for i, (t, hd) in enumerate(g.edges)
@@ -234,41 +336,65 @@ def _build_mapping(h: Digraph, g: Digraph, classes: list[int]) -> MinorMapping:
     return MinorMapping(tuple(branch_sets), assign_witnesses(h, g, branch_sets))
 
 
-def _place(h: Digraph, g: Digraph, level, budget: int | None = None) -> list[int] | None:
+def _place(h: Digraph, g: Digraph, levels, budget: int | None = None) -> list[int] | None:
     """The one backtracking search behind `find_minor` and
     `find_subdigraph_embedding`: a branch set for each vertex of h from the
-    candidates `level(size)`, the vertex masks of `size` host vertices,
-    pairwise disjoint and with enough host edges for every pattern edge and
-    loop.  `level` is called once per size, when the search first reaches
-    that size, which it does only while the host vertices left over leave
-    room for it; each mask's neighbour unions are taken then.  Look-ahead:
-    a pattern vertex with d distinct out-neighbours placed after it needs d
-    disjoint branch sets, each holding a vertex of its mask's out-neighbour
-    union, so a mask whose union holds fewer than d vertices outside the
-    masks chosen so far is dropped; likewise for in-neighbours.  Returns the
-    chosen masks by pattern vertex, or None after exhaustive search; order
-    and budget are as `find_minor` documents."""
+    candidate levels `levels`, an iterator that yields the level of each
+    size 1, 2, ... as `_strong_levels` does, pairwise disjoint and with
+    enough host edges for every pattern edge and loop.  A level is taken
+    from `levels` when the search first reaches its size, which it does only
+    while the host vertices left over leave room for it.
+
+    Single vertices are filtered by masks: the free vertices of level 1,
+    ANDed with the in-neighbour union of each placed branch set that the
+    pattern vertex sends an edge to and the out-neighbour union of each it
+    receives one from, visited in ascending order.  Larger candidates are
+    scanned in their level's order, testing the same joins.  Edge counts
+    are tested only for pattern pairs joined by two or more edges.
+    Look-ahead: a pattern vertex with d distinct out-neighbours placed after
+    it needs d disjoint branch sets, each holding a vertex of its mask's
+    out-neighbour union, so a mask whose union holds fewer than d vertices
+    outside the masks chosen so far is dropped; likewise for in-neighbours.
+    Returns the chosen masks by pattern vertex, or None after exhaustive
+    search; order and budget are as `find_minor` documents."""
+    k, n = h.vertex_count, g.vertex_count
     mult = h.multiplicity
-    loops = [mult.get((v, v), 0) for v in range(h.vertex_count)]
-    degree = [0] * h.vertex_count
-    for t, hd in h.edges:
-        degree[t] += 1
-        degree[hd] += 1
-    order = sorted(range(h.vertex_count), key=lambda v: (-degree[v], v))
-    # per position: the earlier pattern vertices sharing edges with this
-    # one, and the edge counts to and from each
-    joins = [[(qv, mult.get((pv, qv), 0), mult.get((qv, pv), 0))
-              for qv in order[:pos] if (pv, qv) in mult or (qv, pv) in mult]
-             for pos, pv in enumerate(order)]
-    # per position: the distinct out- and in-neighbours placed after it
-    at = {v: pos for pos, v in enumerate(order)}
-    later_out = [0] * h.vertex_count
-    later_in = [0] * h.vertex_count
-    for t, hd in mult:
-        if at[t] < at[hd]:
-            later_out[at[t]] += 1
-        elif at[hd] < at[t]:
+    loops = [0] * k
+    degree = [0] * k
+    for (t, hd), count in mult.items():
+        degree[t] += count
+        degree[hd] += count
+        if t == hd:
+            loops[t] = count
+    order = sorted(range(k), key=lambda v: (-degree[v], v))
+    at = [0] * k
+    for pos, v in enumerate(order):
+        at[v] = pos
+    # per position: the earlier pattern vertices this one sends an edge to
+    # and receives one from, those joined to it by two or more edges with
+    # the counts each way, and its distinct out- and in-neighbours placed
+    # after it
+    to_earlier: list[list[int]] = [[] for _ in range(k)]
+    from_earlier: list[list[int]] = [[] for _ in range(k)]
+    counted: list[list[tuple[int, int, int]]] = [[] for _ in range(k)]
+    later_out = [0] * k
+    later_in = [0] * k
+    for (t, hd), count in mult.items():
+        if at[t] > at[hd]:
+            pos, qv = at[t], hd
+            to_earlier[pos].append(hd)
             later_in[at[hd]] += 1
+        elif at[hd] > at[t]:
+            pos, qv = at[hd], t
+            from_earlier[pos].append(t)
+            later_out[at[t]] += 1
+        else:
+            continue
+        if count > 1:
+            pv = order[pos]
+            entry = (qv, mult.get((pv, qv), 0), mult.get((qv, pv), 0))
+            if entry not in counted[pos]:
+                counted[pos].append(entry)
 
     nodes = 0
 
@@ -287,47 +413,101 @@ def _place(h: Digraph, g: Digraph, level, budget: int | None = None) -> list[int
         return spare_cache[cls]
 
     def cross_count(src: int, dst: int) -> int:
-        return sum(k for (t, hd), k in g.multiplicity.items() if src >> t & 1 and dst >> hd & 1)
+        return sum(count for (t, hd), count in g.multiplicity.items()
+                   if src >> t & 1 and dst >> hd & 1)
 
-    chosen = [0] * h.vertex_count
-    # built[size]: level(size) as (mask, out-neighbour union, in-neighbour union)
-    built: list[list[tuple[int, int, int]]] = [[]]
+    out, inn = g.out_mask, g.in_mask
+    # per pattern vertex: its chosen mask and that mask's neighbour unions
+    chosen = [0] * k
+    out_unions = [0] * k
+    in_unions = [0] * k
+    # built[size]: the level of that size; built[1] is kept as one mask
+    built: list = [None]
+
+    def joined(to_q, from_q, out_union: int, in_union: int) -> bool:
+        """An edge from the candidate with neighbour unions `out_union` and
+        `in_union` into the branch set of each pattern vertex of `to_q`, and
+        one to it from that of each of `from_q`."""
+        for qv in to_q:
+            if not out_union & chosen[qv]:
+                return False
+        for qv in from_q:
+            if not in_union & chosen[qv]:
+                return False
+        return True
+
+    def counts_fit(pairs, cls: int) -> bool:
+        """Enough host edges between cls and the placed branch sets for the
+        pattern pairs `pairs`, (vertex, edges to it, edges from it)."""
+        for qv, to_q, from_q in pairs:
+            q = chosen[qv]
+            if (to_q > 1 and cross_count(cls, q) < to_q
+                    or from_q > 1 and cross_count(q, cls) < from_q):
+                return False
+        return True
 
     def backtrack(pos: int, used: int) -> bool:
-        if pos == len(order):
+        if pos == k:
             return True
         pv = order[pos]
-        loop, join = loops[pv], joins[pos]
+        loop, pairs = loops[pv], counted[pos]
+        to_q, from_q = to_earlier[pos], from_earlier[pos]
         need_out, need_in = later_out[pos], later_in[pos]
-        room = g.vertex_count - used.bit_count() - (len(order) - pos - 1)
+        room = n - used.bit_count() - (k - pos - 1)
         for size in range(1, room + 1):
             if size == len(built):
                 if budget is not None:
-                    charge(comb(g.vertex_count, size))
-                built.append([(m, _neighbour_union(g.out_mask, m), _neighbour_union(g.in_mask, m))
-                              for m in level(size)])
+                    charge(comb(n, size))
+                level = next(levels, [])
+                built.append(sum(m for m, _, _ in level) if size == 1 else level)
+            if size == 1:
+                free = built[1] & ~used
+                cands = free
+                for qv in to_q:
+                    cands &= in_unions[qv]
+                for qv in from_q:
+                    cands &= out_unions[qv]
+                # charged: the free single vertices up to the candidate
+                # tried last, each counted as a scan of them would count it
+                charged = 0
+                while cands:
+                    cls = cands & -cands
+                    cands ^= cls
+                    if budget is not None:
+                        below = (free & ((cls << 1) - 1)).bit_count()
+                        charge(below - charged)
+                        charged = below
+                    if loop and loop_capacity(cls) < loop or pairs and not counts_fit(pairs, cls):
+                        continue
+                    x = cls.bit_length() - 1
+                    rest = ~(used | cls)
+                    if ((out[x] & rest).bit_count() < need_out
+                            or (inn[x] & rest).bit_count() < need_in):
+                        continue
+                    chosen[pv], out_unions[pv], in_unions[pv] = cls, out[x], inn[x]
+                    if backtrack(pos + 1, used | cls):
+                        return True
+                if budget is not None:
+                    charge(free.bit_count() - charged)
+                continue
             for cls, out_union, in_union in built[size]:
                 if cls & used:
                     continue
                 if budget is not None:
                     charge(1)
+                # the loop test comes first: finding spare edges is charged
                 if loop and loop_capacity(cls) < loop:
                     continue
-                for qv, to_q, from_q in join:
-                    q = chosen[qv]
-                    if to_q and not out_union & q or from_q and not in_union & q:
-                        break
-                    if (to_q > 1 and cross_count(cls, q) < to_q
-                            or from_q > 1 and cross_count(q, cls) < from_q):
-                        break
-                else:
-                    free = ~(used | cls)
-                    if ((out_union & free).bit_count() < need_out
-                            or (in_union & free).bit_count() < need_in):
-                        continue
-                    chosen[pv] = cls
-                    if backtrack(pos + 1, used | cls):
-                        return True
+                if not joined(to_q, from_q, out_union, in_union):
+                    continue
+                rest = ~(used | cls)
+                if (pairs and not counts_fit(pairs, cls)
+                        or (out_union & rest).bit_count() < need_out
+                        or (in_union & rest).bit_count() < need_in):
+                    continue
+                chosen[pv], out_unions[pv], in_unions[pv] = cls, out_union, in_union
+                if backtrack(pos + 1, used | cls):
+                    return True
         return False
 
     return chosen if backtrack(0, 0) else None
@@ -341,28 +521,30 @@ def find_minor(
     None is a certificate of absence.  Pattern vertices are processed by
     descending degree and branch-set candidates in ascending (size, ids)
     order, so the first mapping found is deterministic.
-    The candidates are the host's strongly connected vertex masks, built one
-    size at a time when the search first reaches that size: a size that
-    leaves no vertex for a later pattern vertex is never built.  A candidate
+    The candidates are the host's strongly connected vertex masks
+    (`_strong_levels`), built one size at a time when the search first
+    reaches that size: a size that leaves no vertex for a later pattern
+    vertex is never built.  A candidate
     for a pattern vertex with d distinct out-neighbours (in-neighbours)
     still to be placed is dropped when fewer than d host vertices outside
     the branch sets chosen so far receive an edge from it (send one to it):
     each of those neighbours needs its own disjoint branch set reached by
     such an edge.  So the filter drops only candidates that lead to no
     mapping, and never changes the first mapping found.
-    `budget` caps the work: each branch-set placement tried counts 1, and
-    building the candidates of a size counts C(n, size), the subsets it
-    tests, before it starts; for a pattern vertex with loops, finding a
+    `budget` caps the work: each disjoint candidate counts 1, the single
+    vertices that the masks filter out included, as a scan of them in
+    ascending order would count them; building the candidates of a size
+    counts C(n, size) before it starts, a bound on that level rather than
+    the work it does; for a pattern vertex with loops, finding a
     candidate's spare edges counts 1 for each edge combination tested.
     Exceeding it raises BudgetExceededError, and a negative budget raises
-    ValueError.
+    ValueError.  Every mapping returned has passed `verify_mapping`.
     """
     if budget is not None and budget < 0:
         raise ValueError(f"budget must be non-negative, got {budget}")
     if h.vertex_count > g.vertex_count or len(h.edges) > len(g.edges):
         return None
-    chosen = _place(h, g, lambda size: _strong_level(g.vertex_count, g.out_mask, g.in_mask, size),
-                    budget)
+    chosen = _place(h, g, _strong_levels(g.vertex_count, g.out_mask, g.in_mask), budget)
     if chosen is None:
         return None
     mapping = _build_mapping(h, g, chosen)
@@ -585,9 +767,9 @@ def _closure_children(state: tuple[int, ...]) -> set[tuple[int, ...]]:
     for t, h in pairs:
         out[t] |= 1 << h
         inn[h] |= 1 << t
-    for size in range(2, n + 1):
-        k = n - size + 1
-        for mask in _strong_level(n, out, inn, size):
+    for level in islice(_strong_levels(n, out, inn), 1, None):
+        for mask, _, _ in level:
+            k = n - mask.bit_count() + 1
             new = _contracted_ids(n, mask)
             children.add((k, *sorted([new[t] * k + new[h] for t, h in pairs
                                       if not (mask >> t & 1 and mask >> h & 1)])))
@@ -691,7 +873,7 @@ def closure_oracle(g: Digraph) -> MinorClosure:
 def find_subdigraph_embedding(h: Digraph, g: Digraph) -> tuple[int, ...] | None:
     """Injective vertex map sending h onto a subdigraph of g (respecting edge
     multiplicities), or None after exhaustive search: `find_minor`'s
-    placement search with single-vertex branch sets."""
-    singles = [1 << v for v in range(g.vertex_count)]
-    chosen = _place(h, g, lambda size: singles if size == 1 else [])
+    placement search with single-vertex branch sets, the first level of
+    `_strong_levels`."""
+    chosen = _place(h, g, islice(_strong_levels(g.vertex_count, g.out_mask, g.in_mask), 1))
     return None if chosen is None else tuple(m.bit_length() - 1 for m in chosen)

@@ -29,7 +29,8 @@ from digraph_minors.minor import (
     MinorMapping,
     _build_mapping,
     _place,
-    _strong_level,
+    _neighbour_union,
+    _strong_levels,
     canonical_form,
     closure_oracle,
     compose,
@@ -40,6 +41,7 @@ from digraph_minors.minor import (
     verify_mapping,
 )
 from digraph_minors.experiments import all_semi_complete, all_tournaments
+from parent_search import parent_embedding_place, parent_find_minor
 
 
 class TestVerifyMapping:
@@ -220,9 +222,8 @@ def _contract_to(rng, g, k):
     """g with random strongly connected sets contracted until at most k
     vertices remain (or none can be): a minor of g, found by construction."""
     while g.vertex_count > k:
-        n = g.vertex_count
-        sets = [m for size in range(2, n + 1)
-                for m in _strong_level(n, g.out_mask, g.in_mask, size)]
+        sets = [m for level in _strong_levels(g.vertex_count, g.out_mask, g.in_mask)
+                for m, _, _ in level if m & (m - 1)]
         if not sets:
             break
         mask = rng.choice(sets)
@@ -235,33 +236,66 @@ def _uncapped_find_minor(h, g, budget=None):
     mask of the host, of any size, built before `_place` starts."""
     if h.vertex_count > g.vertex_count or len(h.edges) > len(g.edges):
         return None
-    n = g.vertex_count
-    levels = [_strong_level(n, g.out_mask, g.in_mask, size) for size in range(n + 1)]
-    chosen = _place(h, g, levels.__getitem__, budget)
+    levels = list(_strong_levels(g.vertex_count, g.out_mask, g.in_mask))
+    chosen = _place(h, g, iter(levels), budget)
     return None if chosen is None else _build_mapping(h, g, chosen)
 
 
+def _random_semi_complete(rng, n, digons):
+    """A semi-complete multi-digraph on n vertices: each pair joined one way,
+    the other, or (with probability `digons`) both, then some parallel
+    copies and loops, in shuffled edge order."""
+    edges = []
+    for u, v in itertools.combinations(range(n), 2):
+        if rng.random() < digons:
+            edges += [(u, v), (v, u)]
+        else:
+            edges.append((u, v) if rng.random() < 0.5 else (v, u))
+    edges += rng.choices(edges, k=rng.randint(0, n)) if edges else []
+    edges += [(v, v) for v in range(n) if rng.random() < 0.2]
+    rng.shuffle(edges)
+    return Digraph(n, tuple(edges))
+
+
 class TestStrongLevel:
-    """`_strong_level` against an independent reference: the subsets of each
+    """`_strong_levels` against an independent reference: the subsets of each
     size, in `itertools.combinations` order, whose induced subdigraph is one
-    component under `scc_decompose` (Tarjan)."""
+    component under `scc_decompose` (Tarjan).  The reference decides each
+    distinct induced subdigraph once: it is keyed on the subset and the
+    out-neighbours of its vertices inside it, which fix the subdigraph up to
+    parallel edges."""
+
+    def setup_method(self):
+        self.strong = {}
 
     @staticmethod
-    def reference(g, size):
+    @functools.lru_cache(maxsize=None)
+    def subsets(n, size):
+        return [(combo, sum(1 << v for v in combo))
+                for combo in itertools.combinations(range(n), size)]
+
+    def reference(self, g, size):
         masks = []
-        for combo in itertools.combinations(range(g.vertex_count), size):
-            idx = {v: i for i, v in enumerate(combo)}
-            sub = Digraph(size, tuple((idx[t], idx[hd]) for t, hd in g.edges
-                                      if t in idx and hd in idx))
-            if len(scc_decompose(sub)) == 1:
-                masks.append(sum(1 << v for v in combo))
+        for combo, mask in self.subsets(g.vertex_count, size):
+            key = (mask, *[g.out_mask[v] & mask for v in combo])
+            if key not in self.strong:
+                idx = {v: i for i, v in enumerate(combo)}
+                sub = Digraph(size, tuple((idx[t], idx[hd]) for t, hd in g.edges
+                                          if t in idx and hd in idx))
+                self.strong[key] = len(scc_decompose(sub)) == 1
+            if self.strong[key]:
+                masks.append(mask)
         return masks
 
     def check(self, g):
         n = g.vertex_count
-        for size in range(1, n + 2):
-            got = _strong_level(n, g.out_mask, g.in_mask, size)
-            assert got == self.reference(g, size), (g, size)
+        levels = list(_strong_levels(n, g.out_mask, g.in_mask))
+        assert len(levels) == n
+        # past the last level, size n + 1, there is nothing to yield
+        for size, level in enumerate(levels + [[]], 1):
+            # each mask with the unions of its vertices' neighbours
+            assert level == [(m, _neighbour_union(g.out_mask, m), _neighbour_union(g.in_mask, m))
+                             for m in self.reference(g, size)], (g, size)
 
     def test_every_digraph_on_at_most_three_vertices(self):
         for n in range(4):
@@ -274,6 +308,34 @@ class TestStrongLevel:
         for _ in range(150):
             n = rng.randint(1, 8)
             self.check(_random_multidigraph(rng, n, rng.randint(0, 3 * n)))
+
+    def test_every_semi_complete_digraph_on_at_most_five_vertices(self):
+        # 59,810 labelled digraphs: size 3 holds exactly the directed
+        # triangles and sizes 4 and 5 are grown, so a growth step that
+        # misses a set, or one that adds a set which is not strong, shows
+        for n in range(6):
+            for g in all_semi_complete(n):
+                self.check(g)
+
+    def test_seeded_semi_complete_multidigraphs(self):
+        # up to 12 vertices, tournaments included, with 2-cycles, parallel
+        # edges and loops, which the semi-complete test must allow
+        rng = random.Random("strong-level-semi-complete")
+        for i in range(48):
+            self.check(_random_semi_complete(rng, 4 + i % 9, rng.choice([0, 0.1, 0.3, 0.6])))
+
+    def test_seeded_nearly_semi_complete_digraphs(self):
+        # one pair left unjoined makes a host that is not semi-complete, on
+        # which growth would miss sets (a directed 4-cycle has no strong
+        # 3-subset), so the sizes past 3 must be tested subset by subset
+        rng = random.Random("strong-level-nearly-semi-complete")
+        for _ in range(40):
+            g = _random_semi_complete(rng, rng.randint(4, 9), rng.choice([0, 0.2]))
+            u, v = rng.sample(range(g.vertex_count), 2)
+            self.check(Digraph(g.vertex_count, tuple(e for e in g.edges if {*e} != {u, v})))
+        self.check(gen_cycle(4))
+        assert [len(level) for level in _strong_levels(4, gen_cycle(4).out_mask,
+                                                       gen_cycle(4).in_mask)] == [4, 0, 0, 1]
 
 
 class TestCandidateCap:
@@ -321,13 +383,14 @@ class TestLazyLevels:
     @pytest.fixture
     def built(self, monkeypatch):
         sizes = []
-        real = minor._strong_level
+        real = minor._strong_levels
 
-        def counting(n, out, inn, size):
-            sizes.append(size)
-            return real(n, out, inn, size)
+        def counting(n, out, inn):
+            for size, level in enumerate(real(n, out, inn), 1):
+                sizes.append(size)
+                yield level
 
-        monkeypatch.setattr(minor, "_strong_level", counting)
+        monkeypatch.setattr(minor, "_strong_levels", counting)
         return sizes
 
     def test_found_query_builds_only_singletons(self, built):
@@ -361,6 +424,70 @@ class TestLazyLevels:
         with pytest.raises(BudgetExceededError, match="budget of 40 placements"):
             find_minor(Digraph(1, ((0, 0),)), gen_transitive(18), budget=40)
         assert built == [1]
+
+
+class TestParentSearch:
+    """`find_minor` and the embedding search give the outcomes of the search
+    that tested every subset and scanned every single vertex
+    (`parent_search`, kept verbatim): the same mapping, byte for byte, the
+    same absence, and `BudgetExceededError` at the same budgets."""
+
+    BUDGETS = (None, 0, 1, 5, 40)
+
+    @staticmethod
+    def outcome(search, *args):
+        try:
+            got = search(*args)
+        except BudgetExceededError as exc:
+            return "budget", str(exc)
+        if got is None:
+            return "absent", None
+        return "found", got.to_json() if isinstance(got, MinorMapping) else got
+
+    def pairs(self):
+        """600 seeded (pattern, host) pairs, a third of each kind."""
+        rng = random.Random("parent-search-pairs")
+        for i in range(600):
+            if i % 3 == 0:
+                # random tournaments of 6-10 vertices
+                g = gen_random_tournament(rng.randint(6, 10), seed=rng.randrange(10**6))
+                h = gen_random_tournament(rng.randint(3, g.vertex_count - 1),
+                                          seed=rng.randrange(10**6))
+            elif i % 3 == 1:
+                # contractions of the host, found by construction
+                g = (gen_random_tournament(rng.randint(6, 10), seed=rng.randrange(10**6))
+                     if rng.random() < 0.5 else _random_semi_complete(rng, rng.randint(5, 8), 0.2))
+                h = _contract_to(rng, g, rng.randint(2, g.vertex_count - 1))
+            else:
+                # multi-digraphs with loops and parallel edges
+                n = rng.randint(3, 7)
+                g = _random_multidigraph(rng, n, rng.randint(n, 3 * n))
+                k = rng.randint(1, n)
+                h = _random_multidigraph(rng, k, rng.randint(0, 2 * k))
+            yield h, g
+
+    def test_find_minor_matches_the_parent_search(self):
+        outcomes = set()
+        for h, g in self.pairs():
+            for budget in self.BUDGETS:
+                got = self.outcome(find_minor, h, g, budget)
+                assert got == self.outcome(parent_find_minor, h, g, budget), (h, g, budget)
+                outcomes.add(got[0])
+        assert outcomes == {"absent", "budget", "found"}
+
+    def test_embedding_search_matches_the_parent_search(self):
+        outcomes = set()
+        for h, g in self.pairs():
+            for budget in self.BUDGETS:
+                singles = itertools.islice(_strong_levels(g.vertex_count, g.out_mask, g.in_mask), 1)
+                got = self.outcome(_place, h, g, singles, budget)
+                assert got == self.outcome(parent_embedding_place, h, g, budget), (h, g, budget)
+                outcomes.add(got[0])
+            found = find_subdigraph_embedding(h, g)
+            assert self.outcome(parent_embedding_place, h, g) == (
+                ("absent", None) if found is None
+                else ("found", [1 << v for v in found])), (h, g)
+        assert outcomes == {"absent", "budget", "found"}
 
 
 class TestBranchEdgeRule:

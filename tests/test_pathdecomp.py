@@ -39,7 +39,7 @@ from digraph_minors.pathdecomp import (
     transform_under_contraction,
     verify,
 )
-from digraph_minors.minor import _strong_level
+from digraph_minors.minor import _strong_levels
 from digraph_minors.experiments import (
     all_semi_complete,
     all_tournaments,
@@ -356,8 +356,8 @@ def test_contraction_numbering_matches_the_reference_exhaustively():
         n = g.vertex_count
         loopless = all(t != hd for t, hd in g.edges)
         p = exact_pathwidth(g)[1] if loopless else None
-        for size in range(1, n + 1):
-            for mask in _strong_level(n, g.out_mask, g.in_mask, size):
+        for level in _strong_levels(n, g.out_mask, g.in_mask):
+            for mask, _, _ in level:
                 h = Subdigraph.induced(g, [v for v in range(n) if mask >> v & 1])
                 assert contract(g, h) == _contract_reference(g, h), (g, mask)
                 if p is not None:
